@@ -1,5 +1,6 @@
 #include "mem/cache.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace tfsim::mem {
@@ -19,83 +20,94 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg, std::string name)
   if (cfg_.size_bytes % (static_cast<std::uint64_t>(cfg_.associativity) * cfg_.line_bytes) != 0) {
     throw std::invalid_argument("cache size must divide into sets evenly");
   }
-  ways_.resize(sets_count_ * cfg_.associativity);
+  const std::size_t ways = sets_count_ * cfg_.associativity;
+  keys_.assign(ways, 0);
+  dirty_.assign(ways, 0);
+  lru_.assign(ways, 0);
 }
 
 void SetAssocCache::reset_sets() {
-  for (auto& w : ways_) w = Way{};
+  std::fill(keys_.begin(), keys_.end(), 0);
+  std::fill(dirty_.begin(), dirty_.end(), 0);
+  std::fill(lru_.begin(), lru_.end(), 0);
+}
+
+void SetAssocCache::drop_way(std::size_t way) {
+  keys_[way] = 0;
+  dirty_[way] = 0;
+  lru_[way] = 0;
+  ++stats_.invalidations;
 }
 
 SetAssocCache::AccessResult SetAssocCache::access(Addr addr, bool write) {
   const Addr line = line_base(addr, cfg_.line_bytes);
   const std::uint64_t set = set_index(line);
-  const Addr tag = tag_of(line);
-  Way* base = &ways_[set * cfg_.associativity];
+  const Addr key = key_of(line);
+  const std::uint32_t assoc = cfg_.associativity;
+  const std::size_t base = set * assoc;
+  const Addr* keys = &keys_[base];
   ++clock_;
 
-  Way* lru = base;
-  bool have_invalid = false;
-  for (std::uint32_t i = 0; i < cfg_.associativity; ++i) {
-    Way& w = base[i];
-    if (w.valid && w.tag == tag) {
-      w.lru = clock_;
-      w.dirty = w.dirty || write;
+  std::uint32_t invalid = assoc;  // first invalid way, if any
+  for (std::uint32_t i = 0; i < assoc; ++i) {
+    if (keys[i] == key) {
+      lru_[base + i] = clock_;
+      if (write) dirty_[base + i] = 1;
       ++stats_.hits;
       return AccessResult{true, false, 0};
     }
-    if (!w.valid) {
-      if (!have_invalid) {
-        lru = &w;  // prefer an invalid way as the victim
-        have_invalid = true;
-      }
-    } else if (!have_invalid && lru->valid && w.lru < lru->lru) {
-      lru = &w;
-    }
+    if (keys[i] == 0 && invalid == assoc) invalid = i;
   }
-  if (!have_invalid && cfg_.replacement == Replacement::kRandom) {
-    // xorshift victim pick: cheap and stateless per access.
-    victim_seed_ ^= victim_seed_ << 13;
-    victim_seed_ ^= victim_seed_ >> 7;
-    victim_seed_ ^= victim_seed_ << 17;
-    lru = &base[victim_seed_ % cfg_.associativity];
+
+  // Victim: the first invalid way, else a pseudo-random or the first
+  // least-recently-used way.
+  std::uint32_t victim = invalid;
+  if (victim == assoc) {
+    if (cfg_.replacement == Replacement::kRandom) {
+      // xorshift victim pick: cheap and stateless per access.
+      victim_seed_ ^= victim_seed_ << 13;
+      victim_seed_ ^= victim_seed_ >> 7;
+      victim_seed_ ^= victim_seed_ << 17;
+      victim = static_cast<std::uint32_t>(victim_seed_ % assoc);
+    } else {
+      const std::uint64_t* lru = &lru_[base];
+      victim = 0;
+      for (std::uint32_t i = 1; i < assoc; ++i) {
+        if (lru[i] < lru[victim]) victim = i;
+      }
+    }
   }
 
   ++stats_.misses;
   AccessResult res;
-  if (lru->valid && lru->dirty) {
+  const std::size_t way = base + victim;
+  if (keys_[way] != 0 && dirty_[way] != 0) {
     res.writeback = true;
-    res.victim_line = line_from(set, lru->tag);
+    res.victim_line = line_from(set, keys_[way]);
     ++stats_.writebacks;
   }
-  lru->tag = tag;
-  lru->valid = true;
-  lru->dirty = write;
-  lru->lru = clock_;
+  keys_[way] = key;
+  dirty_[way] = static_cast<std::uint8_t>(write);
+  lru_[way] = clock_;
   return res;
 }
 
 bool SetAssocCache::probe(Addr addr) const {
   const Addr line = line_base(addr, cfg_.line_bytes);
-  const std::uint64_t set = set_index(line);
-  const Addr tag = tag_of(line);
-  const Way* base = &ways_[set * cfg_.associativity];
-  for (std::uint32_t i = 0; i < cfg_.associativity; ++i) {
-    if (base[i].valid && base[i].tag == tag) return true;
-  }
-  return false;
+  const Addr key = key_of(line);
+  const Addr* keys = &keys_[set_index(line) * cfg_.associativity];
+  return std::find(keys, keys + cfg_.associativity, key) !=
+         keys + cfg_.associativity;
 }
 
 bool SetAssocCache::invalidate(Addr addr, bool* was_dirty) {
   const Addr line = line_base(addr, cfg_.line_bytes);
-  const std::uint64_t set = set_index(line);
-  const Addr tag = tag_of(line);
-  Way* base = &ways_[set * cfg_.associativity];
+  const Addr key = key_of(line);
+  const std::size_t base = set_index(line) * cfg_.associativity;
   for (std::uint32_t i = 0; i < cfg_.associativity; ++i) {
-    Way& w = base[i];
-    if (w.valid && w.tag == tag) {
-      if (was_dirty != nullptr) *was_dirty = w.dirty;
-      w = Way{};
-      ++stats_.invalidations;
+    if (keys_[base + i] == key) {
+      if (was_dirty != nullptr) *was_dirty = dirty_[base + i] != 0;
+      drop_way(base + i);
       return true;
     }
   }
@@ -107,12 +119,11 @@ std::uint64_t SetAssocCache::invalidate_range(const Range& range) {
   // Walk resident ways rather than the (possibly huge) address range.
   std::uint64_t dropped = 0;
   for (std::uint64_t set = 0; set < sets_count_; ++set) {
-    Way* base = &ways_[set * cfg_.associativity];
+    const std::size_t base = set * cfg_.associativity;
     for (std::uint32_t i = 0; i < cfg_.associativity; ++i) {
-      Way& w = base[i];
-      if (w.valid && range.contains(line_from(set, w.tag))) {
-        w = Way{};
-        ++stats_.invalidations;
+      const Addr key = keys_[base + i];
+      if (key != 0 && range.contains(line_from(set, key))) {
+        drop_way(base + i);
         ++dropped;
       }
     }
@@ -122,7 +133,7 @@ std::uint64_t SetAssocCache::invalidate_range(const Range& range) {
 
 std::uint64_t SetAssocCache::resident_lines() const {
   std::uint64_t n = 0;
-  for (const auto& w : ways_) n += w.valid ? 1 : 0;
+  for (const Addr key : keys_) n += key != 0 ? 1 : 0;
   return n;
 }
 

@@ -71,24 +71,23 @@ class SetAssocCache {
   std::uint64_t resident_lines() const;
 
  private:
-  struct Way {
-    Addr tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t lru = 0;  ///< last-touch stamp; smallest = LRU victim
-  };
-
   std::uint64_t set_index(Addr line) const { return (line / cfg_.line_bytes) % sets_count_; }
-  Addr tag_of(Addr line) const { return line / cfg_.line_bytes / sets_count_; }
-  Addr line_from(std::uint64_t set, Addr tag) const {
-    return (tag * sets_count_ + set) * cfg_.line_bytes;
+  /// Way key of a line: its tag plus one, so 0 marks an invalid way.
+  Addr key_of(Addr line) const { return line / cfg_.line_bytes / sets_count_ + 1; }
+  Addr line_from(std::uint64_t set, Addr key) const {
+    return ((key - 1) * sets_count_ + set) * cfg_.line_bytes;
   }
+  void drop_way(std::size_t way);
   void reset_sets();
 
   CacheConfig cfg_;
   std::string name_;
   std::uint64_t sets_count_ = 0;
-  std::vector<Way> ways_;  ///< sets_count_ x associativity, row-major
+  // Per-way state, sets_count_ x associativity, row-major.  The lookup scans
+  // only the packed keys; dirty bits and LRU stamps are read on hit/evict.
+  std::vector<Addr> keys_;            ///< tag + 1; 0 = invalid
+  std::vector<std::uint8_t> dirty_;
+  std::vector<std::uint64_t> lru_;    ///< last-touch stamp; smallest = LRU victim
   std::uint64_t clock_ = 0;
   std::uint64_t victim_seed_ = 0x2545F4914F6CDD1DULL;
   CacheStats stats_;

@@ -32,7 +32,7 @@ CacheHierarchy::Result CacheHierarchy::access(Addr addr, bool write) {
     // Miss at level i: the line was allocated there; a dirty victim from the
     // last level leaves the hierarchy entirely.
     if (r.writeback && i + 1 == n) {
-      res.memory_writebacks.push_back(r.victim_line);
+      res.memory_writeback = r.victim_line;
     }
   }
   return res;  // hit_level == -1: miss to memory

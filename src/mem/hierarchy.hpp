@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,8 +35,9 @@ class CacheHierarchy {
     /// Load-to-use latency of the hitting level (0 for memory miss; the
     /// memory path is charged by the caller).
     sim::Time latency = 0;
-    /// Dirty lines evicted from the last level by this access.
-    std::vector<Addr> memory_writebacks;
+    /// Dirty line evicted from the last level by this access.  Only the
+    /// last level's victim leaves the hierarchy, so there is at most one.
+    std::optional<Addr> memory_writeback;
   };
 
   Result access(Addr addr, bool write);

@@ -1,50 +1,67 @@
 #include "net/network.hpp"
 
+#include <algorithm>
+
 #include "sim/pdes.hpp"
 
 namespace tfsim::net {
 
 NodeId Network::add_node(const std::string& name) {
   names_.push_back(name);
+  switch_of_.push_back(nullptr);
   table_dirty_ = true;
   return static_cast<NodeId>(names_.size() - 1);
 }
 
 NodeId Network::add_switch(const std::string& name, const SwitchConfig& cfg) {
   const NodeId id = add_node(name);
-  switches_.emplace(id, Switch(cfg));
+  switch_of_[id] = &switches_.emplace(id, Switch(cfg)).first->second;
   return id;
 }
 
 Switch& Network::switch_at(NodeId id) {
-  const auto it = switches_.find(id);
-  if (it == switches_.end()) {
+  if (!is_switch(id)) {
     throw std::invalid_argument("Network::switch_at: node " +
                                 names_.at(id) + " is not a switch");
   }
-  return it->second;
+  return *switch_of_[id];
 }
 
 const Switch& Network::switch_at(NodeId id) const {
-  const auto it = switches_.find(id);
-  if (it == switches_.end()) {
+  if (!is_switch(id)) {
     throw std::invalid_argument("Network::switch_at: node " +
                                 names_.at(id) + " is not a switch");
   }
-  return it->second;
+  return *switch_of_[id];
+}
+
+Network::HopSlot& Network::slot_for_write(NodeId from, NodeId to) {
+  if (stride_ < names_.size()) {
+    // Re-lay the slots out for the grown node set; doubling keeps builders
+    // that interleave add_node and connect linear overall.
+    const std::size_t stride = std::max(names_.size(), 2 * stride_);
+    std::vector<HopSlot> grown(stride * stride);
+    for (std::size_t f = 0; f < stride_; ++f) {
+      for (std::size_t t = 0; t < stride_; ++t) {
+        grown[f * stride + t] = std::move(slots_[f * stride_ + t]);
+      }
+    }
+    slots_ = std::move(grown);
+    stride_ = stride;
+  }
+  return slots_[from * stride_ + to];
 }
 
 void Network::connect(NodeId from, NodeId to, const LinkConfig& cfg) {
   if (from >= names_.size() || to >= names_.size()) {
     throw std::invalid_argument("Network::connect: unknown node");
   }
-  const auto key = std::make_pair(from, to);
-  if (links_.count(key) != 0) {
+  HopSlot& hop = slot_for_write(from, to);
+  if (hop.link != nullptr) {
     throw std::invalid_argument("Network::connect: duplicate link");
   }
-  links_[key] = std::make_unique<Link>(
-      cfg, names_[from] + "->" + names_[to]);
-  routes_[key] = {key};  // implicit one-hop route
+  hop.link = std::make_unique<Link>(cfg, names_[from] + "->" + names_[to]);
+  hop.route = {{from, to}};  // implicit one-hop route
   table_dirty_ = true;
 }
 
@@ -64,7 +81,7 @@ void Network::add_route(NodeId src, NodeId dst,
     throw std::invalid_argument("Network::add_route: empty path");
   }
   for (std::size_t i = 0; i < hops.size(); ++i) {
-    if (links_.count(hops[i]) == 0) {
+    if (!has_link(hops[i].first, hops[i].second)) {
       throw std::invalid_argument("Network::add_route: hop " +
                                   std::to_string(i) + " (" +
                                   hop_name(hops[i]) + ") has no link");
@@ -84,7 +101,7 @@ void Network::add_route(NodeId src, NodeId dst,
           std::to_string(i + 1) + " (" + hop_name(hops[i + 1]) + ")");
     }
   }
-  routes_[{src, dst}] = std::move(hops);
+  slot_for_write(src, dst).route = std::move(hops);
 }
 
 void Network::build_routes() {
@@ -94,12 +111,16 @@ void Network::build_routes() {
 
 void Network::ensure_routes() const {
   if (!table_dirty_) return;
-  // The rebuild is deterministic (the link map is ordered), so lazy
-  // recomputation from const queries can never diverge between runs; the
-  // table members are mutable for exactly this cache.
+  // The rebuild is deterministic (slots are visited in ordered (from, to)
+  // order), so lazy recomputation from const queries can never diverge
+  // between runs; the table members are mutable for exactly this cache.
   std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(links_.size());
-  for (const auto& [key, link] : links_) edges.push_back(key);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].link != nullptr) {
+      edges.emplace_back(static_cast<NodeId>(i / stride_),
+                         static_cast<NodeId>(i % stride_));
+    }
+  }
   table_.build(names_.size(), edges);
   table_dirty_ = false;
 }
@@ -110,7 +131,10 @@ const RoutingTable& Network::routing() const {
 }
 
 bool Network::has_route(NodeId src, NodeId dst) const {
-  if (routes_.count({src, dst}) > 0) return true;
+  if (const HopSlot* hop = slot(src, dst);
+      hop != nullptr && !hop->route.empty()) {
+    return true;
+  }
   ensure_routes();
   return table_.reachable(src, dst);
 }
@@ -123,32 +147,34 @@ sim::Time Network::deliver(sim::Time now, NodeId src, NodeId dst,
 
 bool Network::transmit_hop(Delivery& d, NodeId from, NodeId to,
                            std::uint64_t wire_bytes, sim::Priority prio) {
-  const auto key = std::make_pair(from, to);
-  Link& out = *links_.at(key);
+  const HopSlot* hop = slot(from, to);
+  if (hop == nullptr || hop->link == nullptr) {
+    throw std::invalid_argument("Network: no link " + hop_name({from, to}));
+  }
+  Link& out = *hop->link;
   // A degraded chaos window (port brownout) stretches the frame's effective
   // serialization, like a degraded link flap; the window is looked up at the
   // frame's arrival at the switch, matching the admission decision below.
   double stretch = 1.0;
-  if (const auto sit = switches_.find(from); sit != switches_.end()) {
-    if (!sit->second.admit(to, d.arrival, wire_bytes, out)) {
+  if (Switch* sw = switch_of_[from]; sw != nullptr) {
+    if (!sw->admit(to, d.arrival, wire_bytes, out)) {
       // Tail-dropped or inside a chaos down window (kill_switch / hard-down
       // brownout); downstream hops never see the frame.
       d.outcome = FaultOutcome::kSwitchDropped;
       return false;
     }
-    stretch = sit->second.service_stretch(to, d.arrival);
+    stretch = sw->service_stretch(to, d.arrival);
   }
   if (stretch > 1.0) {
     const sim::Time ser = out.config().bandwidth.serialization_time(wire_bytes);
     d.arrival += static_cast<sim::Time>(static_cast<double>(ser) *
                                         (stretch - 1.0));
   }
-  const auto fit = faulty_.find(key);
-  if (fit == faulty_.end()) {
+  if (hop->faulty == nullptr) {
     d.arrival = out.transmit(d.arrival, wire_bytes, prio);
     return true;
   }
-  const auto tx = fit->second->transmit(d.arrival, wire_bytes, prio);
+  const auto tx = hop->faulty->transmit(d.arrival, wire_bytes, prio);
   d.arrival = tx.delivered;
   if (tx.outcome == FaultOutcome::kLost ||
       tx.outcome == FaultOutcome::kFlapDropped) {
@@ -166,8 +192,9 @@ Delivery Network::deliver_ex(sim::Time now, NodeId src, NodeId dst,
                              std::uint64_t flow_salt) {
   Delivery d;
   d.arrival = now;
-  if (const auto it = routes_.find({src, dst}); it != routes_.end()) {
-    for (const auto& hop : it->second) {
+  if (const HopSlot* path = slot(src, dst);
+      path != nullptr && !path->route.empty()) {
+    for (const auto& hop : path->route) {
       if (!transmit_hop(d, hop.first, hop.second, wire_bytes, prio)) return d;
     }
     return d;
@@ -190,8 +217,10 @@ Delivery Network::deliver_ex(sim::Time now, NodeId src, NodeId dst,
 
 sim::Time Network::min_propagation() const {
   sim::Time min = sim::kTimeNever;
-  for (const auto& [key, link] : links_) {
-    if (link->propagation() < min) min = link->propagation();
+  for (const HopSlot& hop : slots_) {
+    if (hop.link != nullptr && hop.link->propagation() < min) {
+      min = hop.link->propagation();
+    }
   }
   return min;
 }
@@ -252,50 +281,52 @@ void Network::step_routed(sim::ParallelEngine& pdes, NodeId cur, NodeId src,
 }
 
 void Network::enable_faults(const FaultConfig& cfg) {
-  for (const auto& [key, link] : links_) {
-    if (faulty_.count(key) != 0) continue;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    HopSlot& hop = slots_[i];
+    if (hop.link == nullptr || hop.faulty != nullptr) continue;
     FaultConfig per_link = cfg;
-    per_link.seed = link_fault_seed(cfg.seed, key.first, key.second);
-    faulty_[key] = std::make_unique<FaultyLink>(*link, per_link);
+    per_link.seed = link_fault_seed(cfg.seed, static_cast<NodeId>(i / stride_),
+                                    static_cast<NodeId>(i % stride_));
+    hop.faulty = std::make_unique<FaultyLink>(*hop.link, per_link);
+    ++faulty_links_;
   }
 }
 
 void Network::enable_faults_on(NodeId from, NodeId to,
                                const FaultConfig& cfg) {
-  const auto key = std::make_pair(from, to);
-  const auto it = links_.find(key);
-  if (it == links_.end()) {
+  if (!has_link(from, to)) {
     throw std::invalid_argument("Network::enable_faults_on: no link " +
-                                hop_name(key));
+                                hop_name({from, to}));
   }
-  if (faulty_.count(key) != 0) {
+  HopSlot& hop = slot_for_write(from, to);
+  if (hop.faulty != nullptr) {
     throw std::invalid_argument("Network::enable_faults_on: link " +
-                                hop_name(key) + " already fault-decorated");
+                                hop_name({from, to}) +
+                                " already fault-decorated");
   }
   FaultConfig per_link = cfg;
   per_link.seed = link_fault_seed(cfg.seed, from, to);
-  faulty_[key] = std::make_unique<FaultyLink>(*it->second, per_link);
+  hop.faulty = std::make_unique<FaultyLink>(*hop.link, per_link);
+  ++faulty_links_;
 }
 
 const FaultyLink* Network::faulty_link(NodeId from, NodeId to) const {
-  const auto it = faulty_.find({from, to});
-  return it == faulty_.end() ? nullptr : it->second.get();
+  const HopSlot* hop = slot(from, to);
+  return hop == nullptr ? nullptr : hop->faulty.get();
 }
 
 Link& Network::link(NodeId from, NodeId to) {
-  const auto it = links_.find({from, to});
-  if (it == links_.end()) {
+  if (!has_link(from, to)) {
     throw std::invalid_argument("Network::link: no such link");
   }
-  return *it->second;
+  return *slots_[from * stride_ + to].link;
 }
 
 const Link& Network::link(NodeId from, NodeId to) const {
-  const auto it = links_.find({from, to});
-  if (it == links_.end()) {
+  if (!has_link(from, to)) {
     throw std::invalid_argument("Network::link: no such link");
   }
-  return *it->second;
+  return *slot(from, to)->link;
 }
 
 }  // namespace tfsim::net

@@ -59,7 +59,9 @@ class Network {
   /// Register a switch: a fabric node whose egress queues apply the
   /// configured buffer policy to every frame it forwards.
   NodeId add_switch(const std::string& name, const SwitchConfig& cfg = {});
-  bool is_switch(NodeId id) const { return switches_.count(id) > 0; }
+  bool is_switch(NodeId id) const {
+    return id < switch_of_.size() && switch_of_[id] != nullptr;
+  }
   /// Switch state (per-port occupancy stats); throws for non-switch ids.
   Switch& switch_at(NodeId id);
   const Switch& switch_at(NodeId id) const;
@@ -156,13 +158,14 @@ class Network {
   /// Target one hop (e.g. flap a single spine uplink); throws when the link
   /// is absent or already decorated.
   void enable_faults_on(NodeId from, NodeId to, const FaultConfig& cfg);
-  bool faults_enabled() const { return !faulty_.empty(); }
+  bool faults_enabled() const { return faulty_links_ > 0; }
 
   /// Link for a hop (for stats); throws if absent.
   Link& link(NodeId from, NodeId to);
   const Link& link(NodeId from, NodeId to) const;
   bool has_link(NodeId from, NodeId to) const {
-    return links_.count({from, to}) > 0;
+    const HopSlot* hop = slot(from, to);
+    return hop != nullptr && hop->link != nullptr;
   }
   /// Fault decoration for a hop; nullptr when the hop is fault-free.
   const FaultyLink* faulty_link(NodeId from, NodeId to) const;
@@ -189,13 +192,36 @@ class Network {
   void ensure_routes() const;
   std::string hop_name(const std::pair<NodeId, NodeId>& hop) const;
 
+  /// Everything the network holds for one directed (from, to) node pair.
+  struct HopSlot {
+    std::unique_ptr<Link> link;          ///< nullptr: no link on this hop
+    std::unique_ptr<FaultyLink> faulty;  ///< nullptr: the hop is fault-free
+    /// Explicit from->to path (add_route / connect); empty: use the table.
+    std::vector<std::pair<NodeId, NodeId>> route;
+  };
+  /// The pair's slot, or nullptr when either id lies beyond the slots laid
+  /// out so far (no link or route has touched it).
+  const HopSlot* slot(NodeId from, NodeId to) const {
+    return from < stride_ && to < stride_ ? &slots_[from * stride_ + to]
+                                          : nullptr;
+  }
+  /// The pair's slot for assembly-time writes, growing the layout to cover
+  /// every registered node.
+  HopSlot& slot_for_write(NodeId from, NodeId to);
+
   std::vector<std::string> names_;
-  std::map<std::pair<NodeId, NodeId>, std::unique_ptr<Link>> links_;
-  std::map<std::pair<NodeId, NodeId>, std::unique_ptr<FaultyLink>> faulty_;
-  std::map<std::pair<NodeId, NodeId>, std::vector<std::pair<NodeId, NodeId>>> routes_;
+  /// Dense stride_ x stride_ hop slots, row-major by `from`: index order is
+  /// ordered (from, to) order.  Laid out at assembly (connect/add_route),
+  /// so delivery only reads them.
+  std::vector<HopSlot> slots_;
+  std::size_t stride_ = 0;
+  std::size_t faulty_links_ = 0;
   std::map<NodeId, Switch> switches_;
-  /// Lazily rebuilt from links_ (deterministic: the link map is ordered),
-  /// so const queries (has_route) can trigger the rebuild.
+  /// Per node: its switch in switches_ (map nodes never move), or nullptr.
+  std::vector<Switch*> switch_of_;
+  /// Lazily rebuilt from the hop slots (deterministic: slot order is
+  /// ordered (from, to) order), so const queries (has_route) can trigger
+  /// the rebuild.
   mutable RoutingTable table_;
   mutable bool table_dirty_ = true;
 };

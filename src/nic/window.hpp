@@ -2,19 +2,23 @@
 //
 // The FPGA tracks a bounded number of in-flight remote transactions; a new
 // LLC miss stalls once the window is full.  Because completions free slots
-// in time order, the window reduces to ordered sets of completion times: an
-// arrival when full is admitted exactly when the earliest in-flight request
-// completes.  window entries x cache line is the bandwidth-delay product the
-// paper measures as constant (~16.5 kB, Fig. 3).
+// in time order, the window reduces to a multiset of completion times per
+// class: an arrival when full is admitted exactly when the earliest
+// in-flight request completes.  Each multiset is a vector min-heap, so a
+// transaction allocates nothing once the vectors reach window size.
+// window entries x cache line is the bandwidth-delay product the paper
+// measures as constant (~16.5 kB, Fig. 3).
 //
 // QoS extension: `latency_reserved` slots are usable only by the
 // latency-sensitive class, so bulk traffic cannot occupy the entire window
 // (the MSHR-partitioning analogue of network packet prioritization).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
+#include <functional>
 #include <stdexcept>
+#include <vector>
 
 #include "sim/server.hpp"
 #include "sim/stats.hpp"
@@ -59,7 +63,7 @@ class RequestWindow {
       ++stalls_;
       auto& victim =
           (!bulk_.empty() &&
-           (latency_.empty() || *bulk_.begin() <= *latency_.begin()))
+           (latency_.empty() || bulk_.front() <= latency_.front()))
               ? bulk_
               : latency_;
       return take_earliest(victim);
@@ -72,7 +76,8 @@ class RequestWindow {
   void record_completion(sim::Time completion,
                          sim::Priority prio = sim::Priority::kBulk) {
     auto& mine = prio == sim::Priority::kBulk ? bulk_ : latency_;
-    mine.insert(completion);
+    mine.push_back(completion);
+    std::push_heap(mine.begin(), mine.end(), std::greater<>{});
     occupancy_.add(static_cast<double>(bulk_.size() + latency_.size()));
   }
 
@@ -84,19 +89,23 @@ class RequestWindow {
   const sim::OnlineStats& occupancy_stats() const { return occupancy_; }
 
  private:
-  static void retire(sim::Time now, std::multiset<sim::Time>& set) {
-    while (!set.empty() && *set.begin() <= now) set.erase(set.begin());
+  /// Min-heap of completion times (front() is the earliest).
+  using TimeHeap = std::vector<sim::Time>;
+
+  static void retire(sim::Time now, TimeHeap& heap) {
+    while (!heap.empty() && heap.front() <= now) take_earliest(heap);
   }
-  static sim::Time take_earliest(std::multiset<sim::Time>& set) {
-    const sim::Time t = *set.begin();
-    set.erase(set.begin());
+  static sim::Time take_earliest(TimeHeap& heap) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const sim::Time t = heap.back();
+    heap.pop_back();
     return t;
   }
 
   std::uint32_t entries_;
   std::uint32_t latency_reserved_;
-  std::multiset<sim::Time> bulk_;
-  std::multiset<sim::Time> latency_;
+  TimeHeap bulk_;
+  TimeHeap latency_;
   std::uint64_t stalls_ = 0;
   sim::OnlineStats occupancy_;
 };

@@ -27,10 +27,14 @@ void MemContext::reserve_slot() {
 }
 
 sim::Time MemContext::miss_path(mem::Addr addr) {
+  // The one memory-map lookup of a miss.  It runs after sync_engine():
+  // control-plane events may hot-unplug regions, so a Region* found before
+  // the engine caught up could dangle.
   const mem::Region* region = node_.memory_map().find(addr);
   if (region == nullptr || region->backing == mem::Backing::kLocalDram) {
     // Local DRAM (unmapped addresses also land here: the functional model
     // has no MMU faults; tests assert workloads stay in-bounds).
+    ++stats_.local_misses;
     return node_.dram().access(now_, mem::kCacheLineBytes);
   }
   // Hot-page migration: pages the daemon already moved are served locally.
@@ -78,11 +82,11 @@ void MemContext::access(mem::Addr addr, bool write, bool dependent) {
     const sim::DomainGuard g(dom.checker(), dom.id(), "ctx:cache");
     return node_.caches().access(addr, write);
   }();
-  // Dirty lines evicted from the LLC leave the node asynchronously.
-  if (!r.memory_writebacks.empty()) {
+  // A dirty line evicted from the LLC leaves the node asynchronously.
+  if (r.memory_writeback.has_value()) {
     sync_engine();
     const sim::DomainGuard g(dom.checker(), dom.id(), "ctx:writeback");
-    for (const mem::Addr line : r.memory_writebacks) posted_writeback(line);
+    posted_writeback(*r.memory_writeback);
   }
   if (r.hit_level >= 0) {
     ++stats_.level_hits[static_cast<std::size_t>(r.hit_level)];
@@ -90,35 +94,21 @@ void MemContext::access(mem::Addr addr, bool write, bool dependent) {
     return;
   }
 
-  // Miss to memory.
-  const bool is_local = [&] {
-    const mem::Region* region = node_.memory_map().find(addr);
-    return region == nullptr || region->backing == mem::Backing::kLocalDram;
+  // Miss to memory.  A dependent miss stalls program order until its data
+  // returns; an independent one only needs a free outstanding slot.
+  if (!dependent) reserve_slot();
+  sync_engine();
+  const sim::Time issued = now_;
+  const sim::Time done = [&] {
+    const sim::DomainGuard g(dom.checker(), dom.id(), "ctx:miss");
+    return miss_path(addr);
   }();
-  if (is_local) ++stats_.local_misses;
-
-  if (dependent) {
-    sync_engine();
-    const sim::Time issued = now_;
-    const sim::Time done = [&] {
-      const sim::DomainGuard g(dom.checker(), dom.id(), "ctx:miss");
-      return miss_path(addr);
-    }();
-    stats_.miss_latency_us.add(sim::to_us(done - issued));
-    if (done > now_) {
-      stats_.stall_time += done - now_;
-      now_ = done;
-    }
-  } else {
-    reserve_slot();
-    sync_engine();
-    const sim::Time issued = now_;
-    const sim::Time done = [&] {
-      const sim::DomainGuard g(dom.checker(), dom.id(), "ctx:miss");
-      return miss_path(addr);
-    }();
-    stats_.miss_latency_us.add(sim::to_us(done - issued));
+  stats_.miss_latency_us.add(sim::to_us(done - issued));
+  if (!dependent) {
     outstanding_.push(done);
+  } else if (done > now_) {
+    stats_.stall_time += done - now_;
+    now_ = done;
   }
 }
 

@@ -116,13 +116,17 @@ class DomainChecker {
  private:
   friend class DomainGuard;
   friend class DomainHandle;
+  /// `label` is a string literal (static storage), so a guard costs no
+  /// allocation; report_mismatch copies it into the violation.
   struct GuardFrame {
     DomainId domain = kNoDomain;
-    std::string label;
+    const char* label = "";
   };
 
-  void push(DomainId domain, std::string label);
-  void pop();
+  void push(DomainId domain, const char* label) {
+    stack_.push_back(GuardFrame{domain, label});
+  }
+  void pop() { stack_.pop_back(); }
 
   static constexpr std::size_t kMaxStored = 256;
   DomainCheckMode mode_;
@@ -135,13 +139,14 @@ class DomainChecker {
 
 /// RAII active-domain scope.  A null checker makes the guard inert, so
 /// call sites can guard unconditionally.  The label names the activity for
-/// violation reports ("ctx:stream", "net:deliver borrower->lender1").
+/// violation reports ("ctx:miss", "net:deliver") and must outlive the
+/// guard: pass a string literal.
 class DomainGuard {
  public:
-  DomainGuard(DomainChecker* checker, DomainId domain, std::string label = "")
+  DomainGuard(DomainChecker* checker, DomainId domain, const char* label = "")
       : checker_(checker) {
     if (checker_ != nullptr && checker_->mode() != DomainCheckMode::kOff) {
-      checker_->push(domain, std::move(label));
+      checker_->push(domain, label);
     } else {
       checker_ = nullptr;  // mode switched mid-scope must not unbalance
     }

@@ -56,17 +56,27 @@ Histogram::Histogram()
                0) {}
 
 std::size_t Histogram::bucket_index(double value) const {
+  constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBucketBits;
+  constexpr double kLowest =
+      1.0 / static_cast<double>(std::uint64_t{1} << kNegOctaves);
+  constexpr double kHighest =
+      static_cast<double>(std::uint64_t{1} << kPosOctaves);
   // Values at or below the smallest representable octave (and NaN) collapse
   // into bucket 0; everything in (2^-kNegOctaves, 2^kPosOctaves) gets log2
   // bucketing, including the sub-unit range quantiles used to be blind to.
-  if (!(value >= std::ldexp(1.0, -kNegOctaves))) return 0;
-  auto octave = static_cast<int>(std::floor(std::log2(value)));
-  if (octave >= kPosOctaves) octave = kPosOctaves - 1;
-  if (octave < -kNegOctaves) octave = -kNegOctaves;
-  // Position within the octave: value / 2^octave in [1, 2).
-  const double frac = value / std::ldexp(1.0, octave) - 1.0;
-  auto sub = static_cast<std::size_t>(frac * (1u << kSubBucketBits));
-  if (sub >= (1u << kSubBucketBits)) sub = (1u << kSubBucketBits) - 1;
+  if (!(value >= kLowest)) return 0;
+  // At or beyond 2^kPosOctaves (infinity included): the last bucket.
+  if (value >= kHighest) return buckets_.size() - 1;
+  // value = m * 2^exp with m in [0.5, 1): the octave and the position
+  // within it come straight from the binary exponent and mantissa.  Unlike
+  // floor(log2(value)), this never rounds the largest double below 2^k up
+  // into octave k.
+  int exp = 0;
+  const double m = std::frexp(value, &exp);
+  const int octave = exp - 1;
+  // Position within the octave: value / 2^octave = 2m in [1, 2), exactly.
+  const auto sub = static_cast<std::size_t>((2.0 * m - 1.0) *
+                                            static_cast<double>(kSubBuckets));
   return (static_cast<std::size_t>(octave + kNegOctaves) << kSubBucketBits) +
          sub;
 }

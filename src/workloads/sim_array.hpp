@@ -7,7 +7,9 @@
 // cache/NIC timing path for the backing line.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -17,12 +19,52 @@
 
 namespace tfsim::workloads {
 
+/// Host storage of at least this many bytes is backed by transparent huge
+/// pages where the kernel allows it.
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// Allocate `bytes` of host storage.  Blocks of kHugePageBytes or more are
+/// kHugePageBytes-aligned at their exact size, and the whole huge pages
+/// inside them are advised as huge: first touch then faults once per 2 MiB
+/// instead of once per 4 KiB, whatever memory the allocator reuses from
+/// earlier runs.  Release with release_host_storage and the same size.
+void* allocate_host_storage(std::size_t bytes);
+void release_host_storage(void* p, std::size_t bytes) noexcept;
+
+/// std::vector allocator over allocate_host_storage.
+template <typename T>
+struct HostAllocator {
+  using value_type = T;
+
+  HostAllocator() = default;
+  template <typename U>
+  HostAllocator(const HostAllocator<U>& /*other*/) noexcept {}
+
+  T* allocate(std::size_t n) {
+    if (n > static_cast<std::size_t>(-1) / sizeof(T)) {
+      throw std::bad_array_new_length();
+    }
+    return static_cast<T*>(allocate_host_storage(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    release_host_storage(p, n * sizeof(T));
+  }
+
+  friend bool operator==(const HostAllocator& /*a*/,
+                         const HostAllocator& /*b*/) {
+    return true;
+  }
+};
+
 template <typename T>
 class SimArray {
  public:
+  using HostVector = std::vector<T, HostAllocator<T>>;
+
+  /// Host elements start as `init`, written once.
   SimArray(node::Node& node, std::size_t count, node::Placement placement,
-           std::string name = "array")
-      : host_(count),
+           std::string name = "array", const T& init = T{})
+      : host_(count, init),
         base_(node.allocate(count * sizeof(T), placement)),
         name_(std::move(name)) {}
 
@@ -47,12 +89,12 @@ class SimArray {
     host_[i] = v;
   }
 
-  std::vector<T>& host() { return host_; }
-  const std::vector<T>& host() const { return host_; }
+  HostVector& host() { return host_; }
+  const HostVector& host() const { return host_; }
   const std::string& name() const { return name_; }
 
  private:
-  std::vector<T> host_;
+  HostVector host_;
   mem::Addr base_;
   std::string name_;
 };

@@ -19,16 +19,11 @@ const StreamKernelResult& StreamResult::kernel(const std::string& name) const {
 Stream::Stream(node::Node& node, const StreamConfig& cfg)
     : node_(node), cfg_(cfg) {
   a_ = std::make_unique<SimArray<double>>(node, cfg.elements,
-                                          cfg.placement, "stream/a");
+                                          cfg.placement, "stream/a", 1.0);
   b_ = std::make_unique<SimArray<double>>(node, cfg.elements,
-                                          cfg.placement, "stream/b");
+                                          cfg.placement, "stream/b", 2.0);
   c_ = std::make_unique<SimArray<double>>(node, cfg.elements,
-                                          cfg.placement, "stream/c");
-  for (std::uint64_t i = 0; i < cfg.elements; ++i) {
-    (*a_)[i] = 1.0;
-    (*b_)[i] = 2.0;
-    (*c_)[i] = 0.0;
-  }
+                                          cfg.placement, "stream/c", 0.0);
 }
 
 // Each kernel walks the arrays line by line: one timed cache access per

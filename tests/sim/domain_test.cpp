@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/engine.hpp"
 
 namespace tfsim::sim {
@@ -60,6 +62,27 @@ TEST(DomainCheckerTest, StrictModeThrowsOnCrossDomainTouch) {
   const DomainGuard g(&checker, other, "ctx:miss");
   EXPECT_THROW(c.bump(), DomainError);
   EXPECT_EQ(checker.total(), 1u);
+}
+
+TEST(DomainCheckerTest, StrictErrorCarriesGuardLabelPastTheGuard) {
+  // Guards hold only a pointer to their literal label; the violation must
+  // own a copy, since the error outlives the guard scope that threw it.
+  DomainChecker checker;
+  checker.set_mode(DomainCheckMode::kStrict);
+  const DomainId owner = checker.add_domain("lender");
+  const DomainId other = checker.add_domain("borrower");
+  Counter c;
+  c.tfsim_domain().bind(checker, owner, "lender/counter");
+  try {
+    const DomainGuard g(&checker, other, "ctx:miss");
+    c.bump();
+    FAIL() << "strict mode must throw";
+  } catch (const DomainError& e) {
+    EXPECT_FALSE(checker.in_guard());
+    EXPECT_NE(std::string(e.what()).find("[ctx:miss]"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.violation().guard_label, "ctx:miss");
+  }
 }
 
 TEST(DomainCheckerTest, CollectModeAccumulatesWithFullContext) {

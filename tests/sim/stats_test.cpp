@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -205,6 +206,31 @@ TEST(HistogramTest, TinyValuesClampToFirstBucket) {
   h.add(0.0);
   EXPECT_EQ(h.count(), 2u);
   EXPECT_LE(h.quantile(1.0), 1e-9);
+}
+
+TEST(HistogramTest, HugeValuesClampToLastBucket) {
+  // At and beyond 2^62 (infinity included) the histogram saturates too.
+  Histogram h;
+  h.add(std::ldexp(1.0, 62));
+  h.add(1e30);
+  h.add(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_GE(h.quantile(0.0), std::ldexp(1.0, 61));
+}
+
+TEST(HistogramTest, JustBelowPowerOfTwoStaysInLowerOctave) {
+  // floor(log2(v)) rounds the largest double below 2^k up to k, which used
+  // to file it in the first sub-bucket of octave k -- above every value it
+  // is smaller than.  Half the samples sit just below 2^k and half just
+  // above, so p25 must come out below 2^k.
+  constexpr std::uint64_t kN = 100;
+  for (int k = -31; k <= 61; ++k) {
+    const double pow2 = std::ldexp(1.0, k);
+    Histogram h;
+    h.add_count(std::nextafter(pow2, 0.0), kN);
+    h.add_count(pow2 * (1.0 + 1.0 / 128.0), kN);
+    EXPECT_LT(h.quantile(0.25), pow2) << "k=" << k;
+  }
 }
 
 TEST(HistogramTest, MergeCombinesCounts) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "node/testbed.hpp"
 
 namespace tfsim::workloads {
@@ -67,6 +69,22 @@ TEST(AddrSpanTest, DefaultConstructedIsEmpty) {
   AddrSpan<int> span;
   EXPECT_EQ(span.size(), 0u);
   EXPECT_EQ(span.bytes(), 0u);
+}
+
+TEST(SimArrayTest, FillValueAndHugePageAlignedHostStorage) {
+  Fixture f;
+  // At least kHugePageBytes of host data: 2 MiB-aligned, every element
+  // holds the fill value.  Smaller arrays take the ordinary allocator.
+  const std::size_t n = kHugePageBytes / sizeof(double) + 3;
+  SimArray<double> big(f.tb.borrower(), n, node::Placement::kRemote, "big",
+                       2.5);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.host().data()) %
+                kHugePageBytes,
+            0u);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(big[i], 2.5) << i;
+  SimArray<int> small(f.tb.borrower(), 10, node::Placement::kRemote, "small",
+                      7);
+  for (std::size_t i = 0; i < small.size(); ++i) EXPECT_EQ(small[i], 7);
 }
 
 TEST(SimArrayTest, LocalPlacementStaysBelowRemoteWindow) {
