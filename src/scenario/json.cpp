@@ -87,8 +87,15 @@ class Parser {
   Json parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Scenario files nest about five levels deep; the cap keeps a
+        // hostile document from overflowing this recursive descent.
+        if (++depth_ > kMaxDepth) fail("nesting deeper than 64 levels");
+        Json v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json::string(parse_string());
       case 't': expect_literal("true"); return Json::boolean(true);
       case 'f': expect_literal("false"); return Json::boolean(false);
@@ -207,8 +214,11 @@ class Parser {
     }
   }
 
+  static constexpr int kMaxDepth = 64;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -227,9 +237,6 @@ Json Json::number(double v) {
   j.raw_num_ = render_number(v);
   return j;
 }
-
-Json Json::number(std::int64_t v) { return number(static_cast<double>(v)); }
-Json Json::number(std::uint64_t v) { return number(static_cast<double>(v)); }
 
 Json Json::string(std::string s) {
   Json j;
@@ -262,20 +269,6 @@ bool Json::as_bool() const {
 double Json::as_double() const {
   if (kind_ != Kind::kNumber) throw JsonError("json: expected a number");
   return num_;
-}
-
-std::int64_t Json::as_int() const {
-  const double v = as_double();
-  if (v != std::floor(v)) throw JsonError("json: expected an integer");
-  return static_cast<std::int64_t>(v);
-}
-
-std::uint64_t Json::as_uint() const {
-  const double v = as_double();
-  if (v != std::floor(v) || v < 0) {
-    throw JsonError("json: expected a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(v);
 }
 
 const std::string& Json::as_string() const {

@@ -36,14 +36,12 @@ class Json {
   static Json null() { return Json(); }
   static Json boolean(bool b);
   static Json number(double v);
-  static Json number(std::int64_t v);
-  static Json number(std::uint64_t v);
   static Json string(std::string s);
   static Json array();
   static Json object();
 
-  /// Parse a complete document; throws JsonError on any syntax error or
-  /// trailing garbage.
+  /// Parse a complete document; throws JsonError on any syntax error,
+  /// trailing garbage, or nesting deeper than 64 arrays and objects.
   static Json parse(const std::string& text);
 
   Kind kind() const { return kind_; }
@@ -58,8 +56,6 @@ class Json {
   /// caller, so include context yourself) on kind mismatch.
   bool as_bool() const;
   double as_double() const;
-  std::int64_t as_int() const;
-  std::uint64_t as_uint() const;
   const std::string& as_string() const;
   const Array& items() const;
   const Object& members() const;

@@ -1,487 +1,678 @@
 #include "scenario/scenario.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace tfsim::scenario {
 
 namespace {
 
+// --- field tables ----------------------------------------------------------
+//
+// Each JSON block of a scenario is declared once, as a table of Field rows:
+// the key, how to read and write the member (the unit conversion, if any)
+// and the accepted range.  read_block() parses a block against its table,
+// rejecting unknown keys and out-of-range values with the field's full path
+// ("nodes[0].nic.window_entries: must be an integer in [1, 4294967295], got
+// 0"); write_block() dumps it.  A dump therefore parses back to the same
+// spec by construction.  Defaults live only in the member initialisers in
+// scenario.hpp.  Rules spanning several fields run after the walk, in
+// validate().
+
+using Type = FieldInfo::Type;
+
 constexpr double kBytesPerGiB = 1024.0 * 1024.0 * 1024.0;
+constexpr double kMaxGiB = 1024.0 * 1024.0;  // 1 PiB of DRAM or reservation
+/// JSON numbers are doubles: integers above 2^53 would not survive.
+constexpr double kMaxInteger = 9007199254740992.0;
+/// Times stop at 1e18 ps (about 11.6 simulated days): below kTimeNever,
+/// with room to add two of them without wrapping.
+constexpr double kMaxTimePs = 1e18;
+/// PERIOD gate cap: period x Tclk stays within kMaxTimePs even at the
+/// slowest accepted FPGA clock (1 kHz).
+constexpr double kMaxPeriod = 1e9;
+constexpr double kMaxGbit = 1e6;      // link bandwidth, Gbit/s
+constexpr double kMaxGbyte = 1e6;     // DRAM bus bandwidth, GB/s
+constexpr double kMaxRate = 1e9;      // offered or served requests/s
+constexpr double kMaxFactor = 1e3;    // multipliers: backoff, inflation, ...
+constexpr double kMaxFrame = 1024.0 * 1024.0 * 1024.0;  // bytes per frame
 
-/// Reject unknown keys so a typo in a scenario file is an error, not a
-/// silently-ignored setting.
-void check_keys(const Json& obj, const std::string& where,
-                std::initializer_list<const char*> allowed) {
+std::string join(const std::string& path, const std::string& key) {
+  return path.empty() ? key : path + "." + key;
+}
+
+[[noreturn]] void fail(const std::string& path, const std::string& msg) {
+  throw JsonError("scenario: " + (path.empty() ? "" : path + ": ") + msg);
+}
+
+/// How an offending value reads in an error message.
+std::string shown(const Json& v) {
+  if (v.is_array()) return "an array";
+  if (v.is_object()) return "an object";
+  return v.dump(-1);
+}
+
+std::string range_text(const Range& r) {
+  return (r.lo_open ? "(" : "[") + Json::number(r.lo).dump() + ", " +
+         Json::number(r.hi).dump() + (r.hi_open ? ")" : "]");
+}
+
+double read_number(const Json& v, const std::string& path, Type type,
+                   const Range& r) {
+  const bool integer = type == Type::kInteger;
+  const double x = v.is_number() ? v.as_double() : std::nan("");
+  if (!std::isfinite(x) || (integer && x != std::floor(x)) ||
+      (r.lo_open ? x <= r.lo : x < r.lo) ||
+      (r.hi_open ? x >= r.hi : x > r.hi)) {
+    fail(path, std::string("must be ") + (integer ? "an integer" : "a number") +
+                   " in " + range_text(r) + ", got " + shown(v));
+  }
+  return x;
+}
+
+template <typename T>
+struct Field {
+  const char* key;
+  std::function<void(T&, const Json&, const std::string& path)> read;
+  /// nullopt leaves the key out of the dump.
+  std::function<std::optional<Json>(const T&)> write;
+  std::function<void(const std::string& path, std::vector<FieldInfo>&)>
+      describe;
+  /// Must be present and, for strings and arrays, non-empty.
+  bool required = false;
+};
+
+template <typename T>
+using Table = std::vector<Field<T>>;
+
+template <typename T>
+void read_block(const Table<T>& table, T& out, const Json& obj,
+                const std::string& path) {
+  if (!obj.is_object()) fail(path, "must be an object, got " + shown(obj));
   for (const auto& [key, value] : obj.members()) {
-    (void)value;
-    bool ok = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      throw JsonError("scenario: unknown key \"" + key + "\" in " + where);
-    }
+    const auto row =
+        std::find_if(table.begin(), table.end(),
+                     [&](const Field<T>& f) { return key == f.key; });
+    if (row == table.end()) fail(join(path, key), "unknown key");
+    row->read(out, value, join(path, key));
   }
-}
-
-double get_double(const Json& obj, const char* key, double def) {
-  const Json* v = obj.find(key);
-  return v != nullptr ? v->as_double() : def;
-}
-
-std::uint64_t get_uint(const Json& obj, const char* key, std::uint64_t def) {
-  const Json* v = obj.find(key);
-  return v != nullptr ? v->as_uint() : def;
-}
-
-std::string get_string(const Json& obj, const char* key,
-                       const std::string& def) {
-  const Json* v = obj.find(key);
-  return v != nullptr ? v->as_string() : def;
-}
-
-mem::DramConfig parse_dram(const Json& obj) {
-  check_keys(obj, "dram", {"capacity_gib", "bandwidth_gbyte", "latency_ns"});
-  mem::DramConfig cfg;
-  cfg.capacity_bytes = static_cast<std::uint64_t>(
-      get_double(obj, "capacity_gib",
-                 static_cast<double>(cfg.capacity_bytes) / kBytesPerGiB) *
-      kBytesPerGiB);
-  cfg.bus_bandwidth = sim::Bandwidth::from_gbyte(
-      get_double(obj, "bandwidth_gbyte", cfg.bus_bandwidth.gbyte_per_sec()));
-  cfg.access_latency = sim::from_ns(
-      get_double(obj, "latency_ns", sim::to_ns(cfg.access_latency)));
-  return cfg;
-}
-
-nic::NicConfig parse_nic(const Json& obj) {
-  check_keys(obj, "nic",
-             {"window_entries", "latency_reserved_entries", "fpga_clock_mhz",
-              "period", "processing_ns", "retry_timeout_us", "retry_backoff",
-              "max_retries", "detach_threshold"});
-  nic::NicConfig cfg;
-  cfg.window_entries =
-      static_cast<std::uint32_t>(get_uint(obj, "window_entries", cfg.window_entries));
-  cfg.latency_reserved_entries = static_cast<std::uint32_t>(
-      get_uint(obj, "latency_reserved_entries", cfg.latency_reserved_entries));
-  cfg.fpga_clock_hz =
-      get_double(obj, "fpga_clock_mhz", cfg.fpga_clock_hz / 1e6) * 1e6;
-  cfg.period = get_uint(obj, "period", cfg.period);
-  cfg.processing_latency = sim::from_ns(
-      get_double(obj, "processing_ns", sim::to_ns(cfg.processing_latency)));
-  cfg.replay.retry_timeout = sim::from_us(get_double(
-      obj, "retry_timeout_us", sim::to_us(cfg.replay.retry_timeout)));
-  cfg.replay.backoff = get_double(obj, "retry_backoff", cfg.replay.backoff);
-  cfg.replay.max_retries = static_cast<std::uint32_t>(
-      get_uint(obj, "max_retries", cfg.replay.max_retries));
-  cfg.replay.detach_threshold = static_cast<std::uint32_t>(
-      get_uint(obj, "detach_threshold", cfg.replay.detach_threshold));
-  return cfg;
-}
-
-net::LinkConfig parse_link(const Json& obj, const std::string& where) {
-  check_keys(obj, where, {"bandwidth_gbit", "propagation_ns"});
-  net::LinkConfig cfg;
-  cfg.bandwidth = sim::Bandwidth::from_gbit(
-      get_double(obj, "bandwidth_gbit", cfg.bandwidth.gbit_per_sec()));
-  cfg.propagation = sim::from_ns(
-      get_double(obj, "propagation_ns", sim::to_ns(cfg.propagation)));
-  return cfg;
-}
-
-net::SwitchConfig parse_switch(const Json& obj) {
-  check_keys(obj, "switch", {"buffer_kib", "policy"});
-  net::SwitchConfig cfg;
-  cfg.buffer_bytes = static_cast<std::uint64_t>(
-      get_double(obj, "buffer_kib",
-                 static_cast<double>(cfg.buffer_bytes) / 1024.0) *
-      1024.0);
-  const std::string policy =
-      get_string(obj, "policy", net::to_string(cfg.policy));
-  try {
-    cfg.policy = net::parse_queue_policy(policy);
-  } catch (const std::invalid_argument&) {
-    throw JsonError("scenario: unknown switch policy \"" + policy + "\"");
-  }
-  return cfg;
-}
-
-NodeDecl parse_node(const Json& obj) {
-  check_keys(obj, "node", {"name", "role", "count", "dram", "with_nic", "nic"});
-  NodeDecl decl;
-  decl.name = get_string(obj, "name", decl.name);
-  decl.role = parse_role(get_string(obj, "role", "lender"));
-  decl.count = static_cast<std::uint32_t>(get_uint(obj, "count", 1));
-  if (decl.count == 0) throw JsonError("scenario: node count must be >= 1");
-  if (const Json* d = obj.find("dram")) decl.dram = parse_dram(*d);
-  if (const Json* w = obj.find("with_nic")) decl.with_nic = w->as_bool();
-  if (const Json* n = obj.find("nic")) decl.nic = parse_nic(*n);
-  return decl;
-}
-
-Json dump_node(const NodeDecl& d) {
-  Json node = Json::object();
-  node.set("name", Json::string(d.name));
-  node.set("role", Json::string(to_string(d.role)));
-  node.set("count", Json::number(std::uint64_t{d.count}));
-  Json dram = Json::object();
-  dram.set("capacity_gib",
-           Json::number(static_cast<double>(d.dram.capacity_bytes) / kBytesPerGiB));
-  dram.set("bandwidth_gbyte", Json::number(d.dram.bus_bandwidth.gbyte_per_sec()));
-  dram.set("latency_ns", Json::number(sim::to_ns(d.dram.access_latency)));
-  node.set("dram", std::move(dram));
-  node.set("with_nic", Json::boolean(d.nic_enabled()));
-  Json nic = Json::object();
-  nic.set("window_entries", Json::number(std::uint64_t{d.nic.window_entries}));
-  nic.set("latency_reserved_entries",
-          Json::number(std::uint64_t{d.nic.latency_reserved_entries}));
-  nic.set("fpga_clock_mhz", Json::number(d.nic.fpga_clock_hz / 1e6));
-  nic.set("period", Json::number(d.nic.period));
-  nic.set("processing_ns", Json::number(sim::to_ns(d.nic.processing_latency)));
-  nic.set("retry_timeout_us",
-          Json::number(sim::to_us(d.nic.replay.retry_timeout)));
-  nic.set("retry_backoff", Json::number(d.nic.replay.backoff));
-  nic.set("max_retries", Json::number(std::uint64_t{d.nic.replay.max_retries}));
-  nic.set("detach_threshold",
-          Json::number(std::uint64_t{d.nic.replay.detach_threshold}));
-  node.set("nic", std::move(nic));
-  return node;
-}
-
-FaultSpec parse_faults(const Json& obj) {
-  check_keys(obj, "faults",
-             {"loss_rate", "corrupt_rate", "seed", "flaps", "kill_lender"});
-  FaultSpec f;
-  f.link.loss_rate = get_double(obj, "loss_rate", f.link.loss_rate);
-  f.link.corrupt_rate = get_double(obj, "corrupt_rate", f.link.corrupt_rate);
-  if (f.link.loss_rate < 0.0 || f.link.loss_rate > 1.0) {
-    throw JsonError("scenario: faults loss_rate must be in [0, 1]");
-  }
-  if (f.link.corrupt_rate < 0.0 || f.link.corrupt_rate > 1.0) {
-    throw JsonError("scenario: faults corrupt_rate must be in [0, 1]");
-  }
-  f.link.seed = get_uint(obj, "seed", f.link.seed);
-  if (const Json* flaps = obj.find("flaps")) {
-    for (const auto& fl : flaps->items()) {
-      check_keys(fl, "flap", {"at_us", "for_us", "factor"});
-      net::FlapSpec flap;
-      flap.start = sim::from_us(get_double(fl, "at_us", 0.0));
-      flap.duration = sim::from_us(get_double(fl, "for_us", 0.0));
-      flap.bandwidth_factor = get_double(fl, "factor", 0.0);
-      f.link.flaps.push_back(flap);
-    }
-    // Catch broken schedules (zero-duration, factor out of range, windows
-    // overlapping) at parse time, when the error can still name the file,
-    // instead of when the Nth sweep point constructs its FaultPlan.
-    try {
-      net::validate_flap_schedule(f.link.flaps, "faults flaps");
-    } catch (const std::invalid_argument& e) {
-      throw JsonError("scenario: " + std::string(e.what()));
+  for (const Field<T>& f : table) {
+    if (!f.required) continue;
+    const Json* v = obj.find(f.key);
+    if (v == nullptr || (v->is_string() && v->as_string().empty()) ||
+        (v->is_array() && v->items().empty())) {
+      fail(join(path, f.key), "is required and must not be empty");
     }
   }
-  if (const Json* kl = obj.find("kill_lender")) {
-    check_keys(*kl, "kill_lender", {"node", "at_us"});
-    f.kill_lender = get_string(*kl, "node", "");
-    if (f.kill_lender.empty()) {
-      throw JsonError("scenario: kill_lender requires a \"node\" name");
-    }
-    f.kill_at_us = get_double(*kl, "at_us", 0.0);
+}
+
+template <typename T>
+Json write_block(const Table<T>& table, const T& in) {
+  Json obj = Json::object();
+  for (const Field<T>& f : table) {
+    if (std::optional<Json> v = f.write(in)) obj.set(f.key, std::move(*v));
   }
+  return obj;
+}
+
+template <typename T>
+void describe_block(const Table<T>& table, const std::string& path,
+                    std::vector<FieldInfo>& out) {
+  for (const Field<T>& f : table) f.describe(join(path, f.key), out);
+}
+
+/// The member type an accessor (member pointer or `auto&(auto&)` lambda)
+/// reaches in a T.
+template <typename T, typename A>
+using Member = std::remove_cvref_t<std::invoke_result_t<A, T&>>;
+
+/// A numeric leaf: the member holds `scale` x the JSON value (bytes per
+/// GiB, picoseconds per ns, ...).
+template <typename T, typename A>
+Field<T> number(const char* key, A member, Range r, double scale = 1.0,
+                Type type = Type::kNumber) {
+  using M = Member<T, A>;
+  return {key,
+          [=](T& t, const Json& v, const std::string& path) {
+            std::invoke(member, t) =
+                static_cast<M>(read_number(v, path, type, r) * scale);
+          },
+          [=](const T& t) -> std::optional<Json> {
+            return Json::number(static_cast<double>(std::invoke(member, t)) /
+                                scale);
+          },
+          [=](const std::string& path, std::vector<FieldInfo>& out) {
+            out.push_back({path, type, r, {}});
+          }};
+}
+
+/// An unsigned integer leaf, capped at the member type's maximum.
+template <typename T, typename A>
+Field<T> integer(const char* key, A member, double lo = 0.0,
+                 double hi = kMaxInteger) {
+  const double type_max = std::numeric_limits<Member<T, A>>::max();
+  return number<T>(key, member, {lo, std::min(hi, type_max)}, 1.0,
+                   Type::kInteger);
+}
+
+/// A time in `unit` (sim::kNanosecond, sim::kMicrosecond), held as
+/// sim::Time or as a double already in that unit.  `positive` demands at
+/// least one picosecond.
+template <typename T, typename A>
+Field<T> sim_time(const char* key, A member, sim::Time unit,
+                  bool positive = false) {
+  const double ps = static_cast<double>(unit);
+  const Range r{positive ? 1.0 / ps : 0.0, kMaxTimePs / ps};
+  return number<T>(key, member, r,
+                   std::is_same_v<Member<T, A>, double> ? 1.0 : ps);
+}
+
+template <typename T>
+Field<T> flag(const char* key, std::function<bool(const T&)> get,
+              std::function<void(T&, bool)> set) {
+  return {key,
+          [=](T& t, const Json& v, const std::string& path) {
+            if (!v.is_bool()) fail(path, "must be a boolean, got " + shown(v));
+            set(t, v.as_bool());
+          },
+          [=](const T& t) -> std::optional<Json> {
+            return Json::boolean(get(t));
+          },
+          [=](const std::string& path, std::vector<FieldInfo>& out) {
+            out.push_back({path, Type::kBool, {}, {}});
+          }};
+}
+
+/// A string leaf; non-empty `choices` lists the accepted values.
+template <typename T>
+Field<T> text(const char* key, std::vector<std::string> choices,
+              std::function<std::string(const T&)> get,
+              std::function<void(T&, const std::string&)> set) {
+  return {key,
+          [=](T& t, const Json& v, const std::string& path) {
+            if (!v.is_string()) fail(path, "must be a string, got " + shown(v));
+            if (!choices.empty() &&
+                std::find(choices.begin(), choices.end(), v.as_string()) ==
+                    choices.end()) {
+              std::string list;
+              for (const std::string& c : choices) {
+                list += (list.empty() ? "\"" : ", \"") + c + "\"";
+              }
+              fail(path, "must be one of " + list + ", got " + shown(v));
+            }
+            set(t, v.as_string());
+          },
+          [=](const T& t) -> std::optional<Json> {
+            return Json::string(get(t));
+          },
+          [=](const std::string& path, std::vector<FieldInfo>& out) {
+            out.push_back({path, Type::kString, {}, choices});
+          }};
+}
+
+template <typename T, typename A>
+Field<T> text(const char* key, A member,
+              std::vector<std::string> choices = {}) {
+  return text<T>(
+      key, std::move(choices),
+      [member](const T& t) { return std::invoke(member, t); },
+      [member](T& t, const std::string& s) { std::invoke(member, t) = s; });
+}
+
+/// An enum leaf written as its to_string() name.  A std::optional member
+/// also accepts "" for "unset".
+template <typename T, typename A, typename E>
+Field<T> choice(const char* key, A member, std::initializer_list<E> list) {
+  constexpr bool kOptional = !std::is_same_v<Member<T, A>, E>;
+  std::vector<std::string> names;
+  if (kOptional) names.emplace_back();
+  const std::vector<E> values(list);
+  for (const E e : values) names.emplace_back(to_string(e));
+  return text<T>(
+      key, names,
+      [member](const T& t) -> std::string {
+        const auto& m = std::invoke(member, t);
+        if constexpr (kOptional) {
+          return m.has_value() ? to_string(*m) : "";
+        } else {
+          return to_string(m);
+        }
+      },
+      [member, values](T& t, const std::string& s) {
+        auto& m = std::invoke(member, t);
+        if constexpr (kOptional) m.reset();  // "" matches no value
+        for (const E e : values) {
+          if (s == to_string(e)) m = e;
+        }
+      });
+}
+
+/// A nested object with its own table; `present` false omits it from the
+/// dump.
+template <typename T, typename A, typename B>
+Field<T> block(const char* key, A member, const Table<B>& table,
+               std::function<bool(const T&)> present = nullptr) {
+  return {key,
+          [member, &table](T& t, const Json& v, const std::string& path) {
+            read_block(table, std::invoke(member, t), v, path);
+          },
+          [member, &table, present](const T& t) -> std::optional<Json> {
+            if (present && !present(t)) return std::nullopt;
+            return write_block(table, std::invoke(member, t));
+          },
+          [&table](const std::string& path, std::vector<FieldInfo>& out) {
+            describe_block(table, path, out);
+          }};
+}
+
+/// An array; `element` reads each item into a default-constructed value.
+template <typename T, typename A, typename E>
+Field<T> array(const char* key, A member, Field<E> element) {
+  return {key,
+          [=](T& t, const Json& v, const std::string& path) {
+            if (!v.is_array()) fail(path, "must be an array, got " + shown(v));
+            for (std::size_t i = 0; i < v.items().size(); ++i) {
+              element.read(std::invoke(member, t).emplace_back(), v.items()[i],
+                           path + "[" + std::to_string(i) + "]");
+            }
+          },
+          [=](const T& t) -> std::optional<Json> {
+            Json arr = Json::array();
+            for (const E& e : std::invoke(member, t)) {
+              arr.push(*element.write(e));
+            }
+            return arr;
+          },
+          [=](const std::string& path, std::vector<FieldInfo>& out) {
+            element.describe(path + "[]", out);
+          }};
+}
+
+/// An array of objects, each read against `table`.
+template <typename T, typename A, typename B>
+Field<T> list(const char* key, A member, const Table<B>& table) {
+  return array<T>(key, member, block<B>("", std::identity{}, table));
+}
+
+/// An array of unsigned integers, each in [lo, hi].
+template <typename T, typename A>
+Field<T> integers(const char* key, A member, double lo,
+                  double hi = kMaxInteger) {
+  using E = typename Member<T, A>::value_type;
+  return array<T>(key, member, integer<E>("", std::identity{}, lo, hi));
+}
+
+template <typename T>
+Field<T> required(Field<T> f) {
+  f.required = true;
   return f;
 }
 
-Json dump_faults(const FaultSpec& f) {
-  Json obj = Json::object();
-  obj.set("loss_rate", Json::number(f.link.loss_rate));
-  obj.set("corrupt_rate", Json::number(f.link.corrupt_rate));
-  obj.set("seed", Json::number(f.link.seed));
-  Json flaps = Json::array();
-  for (const auto& flap : f.link.flaps) {
-    Json fl = Json::object();
-    fl.set("at_us", Json::number(sim::to_us(flap.start)));
-    fl.set("for_us", Json::number(sim::to_us(flap.duration)));
-    fl.set("factor", Json::number(flap.bandwidth_factor));
-    flaps.push(std::move(fl));
-  }
-  obj.set("flaps", std::move(flaps));
-  if (!f.kill_lender.empty()) {
-    Json kl = Json::object();
-    kl.set("node", Json::string(f.kill_lender));
-    kl.set("at_us", Json::number(f.kill_at_us));
-    obj.set("kill_lender", std::move(kl));
-  }
-  return obj;
+constexpr sim::Time kNs = sim::kNanosecond;
+constexpr sim::Time kUs = sim::kMicrosecond;
+
+const Table<mem::DramConfig>& dram_table() {
+  using C = mem::DramConfig;
+  static const Table<C> table = {
+      number<C>("capacity_gib", &C::capacity_bytes, {1e-3, kMaxGiB},
+                kBytesPerGiB),
+      number<C>("bandwidth_gbyte",
+                [](auto& c) -> auto& { return c.bus_bandwidth.bytes_per_sec; },
+                {1e-3, kMaxGbyte}, 1e9),
+      sim_time<C>("latency_ns", &C::access_latency, kNs),
+  };
+  return table;
 }
 
-ChaosSpec parse_chaos(const Json& obj) {
-  check_keys(obj, "chaos", {"seed", "events"});
-  ChaosSpec c;
-  c.seed = get_uint(obj, "seed", c.seed);
-  if (const Json* events = obj.find("events")) {
-    for (const auto& ev : events->items()) {
-      check_keys(ev, "chaos event",
-                 {"at_us", "kind", "target", "factor", "for_us"});
-      ChaosEventSpec spec;
-      spec.at_us = get_double(ev, "at_us", 0.0);
-      const std::string kind = get_string(ev, "kind", "");
-      try {
-        spec.kind = parse_chaos_kind(kind);
-      } catch (const std::invalid_argument& e) {
-        throw JsonError("scenario: " + std::string(e.what()));
-      }
-      spec.target = get_string(ev, "target", "");
-      spec.factor = get_double(ev, "factor", 0.0);
-      spec.for_us = get_double(ev, "for_us", 0.0);
-      c.events.push_back(std::move(spec));
-    }
-  }
-  // Resolve once now and discard: a malformed timeline (unmatched recover,
-  // overlapping windows, bad factors) fails at parse time with the event
-  // index, not deep inside cluster assembly.
+const Table<nic::NicConfig>& nic_table() {
+  using C = nic::NicConfig;
+  static const Table<C> table = {
+      integer<C>("window_entries", &C::window_entries, 1),
+      integer<C>("latency_reserved_entries", &C::latency_reserved_entries),
+      // The clock period must land on the picosecond grid.
+      number<C>("fpga_clock_mhz", &C::fpga_clock_hz, {1e-3, 1e6}, 1e6),
+      integer<C>("period", &C::period, 1, kMaxPeriod),
+      sim_time<C>("processing_ns", &C::processing_latency, kNs),
+      sim_time<C>("retry_timeout_us",
+                  [](auto& c) -> auto& { return c.replay.retry_timeout; }, kUs,
+                  true),
+      number<C>("retry_backoff",
+                [](auto& c) -> auto& { return c.replay.backoff; },
+                {1, kMaxFactor}),
+      integer<C>("max_retries",
+                 [](auto& c) -> auto& { return c.replay.max_retries; }),
+      integer<C>("detach_threshold",
+                 [](auto& c) -> auto& { return c.replay.detach_threshold; }),
+  };
+  return table;
+}
+
+const Table<NodeDecl>& node_table() {
+  using C = NodeDecl;
+  static const Table<C> table = {
+      text<C>("name", &C::name),
+      choice<C>("role", &C::role, {Role::kBorrower, Role::kLender}),
+      integer<C>("count", &C::count, 1),
+      block<C>("dram", &C::dram, dram_table()),
+      // Dumped resolved, so the echo shows what the role defaulted to.
+      flag<C>(
+          "with_nic", [](const C& n) { return n.nic_enabled(); },
+          [](C& n, bool b) { n.with_nic = b; }),
+      block<C>("nic", &C::nic, nic_table()),
+  };
+  return table;
+}
+
+const Table<net::LinkConfig>& link_table() {
+  using C = net::LinkConfig;
+  static const Table<C> table = {
+      number<C>("bandwidth_gbit",
+                [](auto& c) -> auto& { return c.bandwidth.bytes_per_sec; },
+                {1e-3, kMaxGbit}, 1e9 / 8.0),
+      sim_time<C>("propagation_ns", &C::propagation, kNs),
+  };
+  return table;
+}
+
+const Table<net::SwitchConfig>& switch_table() {
+  using C = net::SwitchConfig;
+  static const Table<C> table = {
+      number<C>("buffer_kib", &C::buffer_bytes, {1, 1024.0 * 1024.0}, 1024.0),
+      choice<C>("policy", &C::policy,
+                {net::QueuePolicy::kDrop, net::QueuePolicy::kBackpressure}),
+  };
+  return table;
+}
+
+const Table<TopologySpec>& topology_table() {
+  using C = TopologySpec;
+  static const Table<C> table = {
+      choice<C>("kind", &C::kind,
+                {TopologyKind::kDirect, TopologyKind::kDumbbell,
+                 TopologyKind::kLeafSpine}),
+      block<C>("link", &C::link, link_table()),
+      block<C>("trunk", &C::trunk, link_table()),
+      block<C>("uplink", &C::uplink, link_table()),
+      integer<C>("leaves", &C::leaves, 1),
+      integer<C>("spines", &C::spines, 1),
+      block<C>("switch", &C::sw, switch_table()),
+  };
+  return table;
+}
+
+const Table<InjectorSpec>& injector_table() {
+  using C = InjectorSpec;
+  static const Table<C> table = {
+      integer<C>("period", &C::period, 1, kMaxPeriod),
+      choice<C>("distribution", &C::dist_kind,
+                {net::DistKind::kFixed, net::DistKind::kUniform,
+                 net::DistKind::kExponential, net::DistKind::kLognormal,
+                 net::DistKind::kPareto}),
+      sim_time<C>("mean_us", &C::dist_mean_us, kUs),
+      integer<C>("seed", &C::dist_seed),
+  };
+  return table;
+}
+
+const Table<ReservationSpec>& reservation_table() {
+  using C = ReservationSpec;
+  static const Table<C> table = {
+      text<C>("borrower", &C::borrower),
+      integer<C>("size_gib", &C::size_gib, 1, kMaxGiB),
+      integer<C>("chunks", &C::chunks, 1),
+      text<C>("name", &C::name),
+  };
+  return table;
+}
+
+const Table<WorkloadSpec>& workload_table() {
+  using C = WorkloadSpec;
+  static const Table<C> table = {
+      text<C>("kind", &C::kind),
+      text<C>("placement", &C::placement),
+  };
+  return table;
+}
+
+const Table<net::FlapSpec>& flap_table() {
+  using C = net::FlapSpec;
+  static const Table<C> table = {
+      sim_time<C>("at_us", &C::start, kUs),
+      sim_time<C>("for_us", &C::duration, kUs, true),
+      number<C>("factor", &C::bandwidth_factor, {0, 1, false, true}),
+  };
+  return table;
+}
+
+/// The "kill_lender" object spells two FaultSpec members.
+const Table<FaultSpec>& kill_lender_table() {
+  using C = FaultSpec;
+  static const Table<C> table = {
+      required(text<C>("node", &C::kill_lender)),
+      sim_time<C>("at_us", &C::kill_at_us, kUs),
+  };
+  return table;
+}
+
+const Table<FaultSpec>& faults_table() {
+  using C = FaultSpec;
+  static const Table<C> table = {
+      number<C>("loss_rate", [](auto& f) -> auto& { return f.link.loss_rate; },
+                {0, 1}),
+      number<C>("corrupt_rate",
+                [](auto& f) -> auto& { return f.link.corrupt_rate; }, {0, 1}),
+      integer<C>("seed", [](auto& f) -> auto& { return f.link.seed; }),
+      list<C>("flaps", [](auto& f) -> auto& { return f.link.flaps; },
+              flap_table()),
+      block<C>("kill_lender", std::identity{}, kill_lender_table(),
+               [](const C& f) { return !f.kill_lender.empty(); }),
+  };
+  return table;
+}
+
+const Table<ChaosEventSpec>& chaos_event_table() {
+  using C = ChaosEventSpec;
+  static const Table<C> table = {
+      sim_time<C>("at_us", &C::at_us, kUs),
+      required(choice<C>("kind", &C::kind,
+                         {ChaosKind::kKillSwitch, ChaosKind::kBrownoutPort,
+                          ChaosKind::kGrayLender, ChaosKind::kRecover})),
+      text<C>("target", &C::target),
+      // The per-kind range is resolve_chaos()'s: [0, 1) for a brownout,
+      // above 1 for a gray lender, 0 otherwise.
+      number<C>("factor", &C::factor, {0, kMaxFactor}),
+      sim_time<C>("for_us", &C::for_us, kUs),
+  };
+  return table;
+}
+
+const Table<ChaosSpec>& chaos_table() {
+  using C = ChaosSpec;
+  static const Table<C> table = {
+      integer<C>("seed", &C::seed),
+      list<C>("events", &C::events, chaos_event_table()),
+  };
+  return table;
+}
+
+const Table<DetectorSpec>& detector_table() {
+  using C = DetectorSpec;
+  static const Table<C> table = {
+      flag<C>(
+          "enabled", [](const C& d) { return d.enabled; },
+          [](C& d, bool b) { d.enabled = b; }),
+      number<C>("alpha", &C::alpha, {0, 1, true}),
+      number<C>("latency_threshold", &C::latency_threshold,
+                {1, kMaxFactor, true}),
+      number<C>("timeout_weight", &C::timeout_weight, {0, kMaxFactor}),
+      integer<C>("warmup", &C::warmup, 1),
+      integer<C>("confirm", &C::confirm, 1),
+      integer<C>("probe_interval", &C::probe_interval, 1),
+      number<C>("rejoin_margin", &C::rejoin_margin, {1, kMaxFactor}),
+      integer<C>("rejoin_confirm", &C::rejoin_confirm, 1),
+  };
+  return table;
+}
+
+const Table<TrafficTenantSpec>& tenant_table() {
+  using C = TrafficTenantSpec;
+  static const Table<C> table = {
+      text<C>("name", &C::name),
+      integer<C>("weight", &C::weight, 1),
+      number<C>("rate_share", &C::rate_share, {0, 1, true}),
+  };
+  return table;
+}
+
+const Table<TrafficSpec>& traffic_table() {
+  using C = TrafficSpec;
+  static const Table<C> table = {
+      text<C>("process", &C::process, {"", "poisson", "bursty", "diurnal"}),
+      number<C>("rate_rps", &C::rate_rps, {0, kMaxRate}),
+      integer<C>("clients", &C::clients),
+      integer<C>("seed", &C::seed),
+      integer<C>("max_in_flight", &C::max_in_flight),
+      integer<C>("queue_depth", &C::queue_depth),
+      sim_time<C>("duration_us", &C::duration_us, kUs),
+      sim_time<C>("timeout_us", &C::timeout_us, kUs),
+      integer<C>("req_bytes", &C::req_bytes, 0, kMaxFrame),
+      integer<C>("resp_bytes", &C::resp_bytes, 0, kMaxFrame),
+      sim_time<C>("burst_on_us", &C::burst_on_us, kUs, true),
+      sim_time<C>("burst_off_us", &C::burst_off_us, kUs),
+      sim_time<C>("diurnal_period_us", &C::diurnal_period_us, kUs, true),
+      number<C>("diurnal_amplitude", &C::diurnal_amplitude, {0, 1}),
+      number<C>("lender_capacity_rps", &C::lender_capacity_rps, {0, kMaxRate}),
+      sim_time<C>("qos_window_us", &C::qos_window_us, kUs, true),
+      number<C>("tenant_gib", &C::tenant_gib, {0, kMaxGiB}),
+      integer<C>("failover_threshold", &C::failover_threshold),
+      list<C>("tenants", &C::tenants, tenant_table()),
+  };
+  return table;
+}
+
+const Table<SloSpec>& slo_table() {
+  using C = SloSpec;
+  static const Table<C> table = {
+      sim_time<C>("p50_us", &C::p50_us, kUs),
+      sim_time<C>("p99_us", &C::p99_us, kUs),
+      sim_time<C>("p999_us", &C::p999_us, kUs),
+      sim_time<C>("window_us", &C::window_us, kUs, true),
+  };
+  return table;
+}
+
+const Table<PdesSpec>& pdes_table() {
+  using C = PdesSpec;
+  static const Table<C> table = {
+      integer<C>("threads", &C::threads),
+      sim_time<C>("lookahead_ns", &C::lookahead_ns, kNs),
+  };
+  return table;
+}
+
+const Table<SweepSpec>& sweep_table() {
+  using C = SweepSpec;
+  static const Table<C> table = {
+      integers<C>("periods", &C::periods, 1, kMaxPeriod),
+      integers<C>("lenders", &C::lenders, 1),
+      integers<C>("borrowers", &C::borrowers, 1),
+      integers<C>("instances", &C::instances, 1),
+  };
+  return table;
+}
+
+const Table<ScenarioSpec>& scenario_table() {
+  using C = ScenarioSpec;
+  static const Table<C> table = {
+      text<C>("name", &C::name),
+      text<C>("description", &C::description),
+      text<C>("policy", &C::policy),
+      required(list<C>("nodes", &C::nodes, node_table())),
+      block<C>("topology", &C::topology, topology_table()),
+      block<C>("injector", &C::injector, injector_table()),
+      list<C>("reservations", &C::reservations, reservation_table()),
+      list<C>("workloads", &C::workloads, workload_table()),
+      block<C>("faults", &C::faults, faults_table()),
+      block<C>("chaos", &C::chaos, chaos_table()),
+      block<C>("detector", &C::detector, detector_table()),
+      block<C>("traffic", &C::traffic, traffic_table()),
+      block<C>("slo", &C::slo, slo_table()),
+      block<C>("pdes", &C::pdes, pdes_table()),
+      block<C>("sweep", &C::sweep, sweep_table()),
+  };
+  return table;
+}
+
+/// Rules spanning several fields, run once every field passed its range.
+void validate(ScenarioSpec& spec) {
   try {
-    resolve_chaos(c);
+    // Also sorts the flaps by start, as every FaultPlan expects them.
+    net::validate_flap_schedule(spec.faults.link.flaps, "faults.flaps");
+    resolve_chaos(spec.chaos);
   } catch (const std::invalid_argument& e) {
-    throw JsonError("scenario: " + std::string(e.what()));
+    fail("", e.what());
   }
-  return c;
-}
-
-Json dump_chaos(const ChaosSpec& c) {
-  Json obj = Json::object();
-  obj.set("seed", Json::number(c.seed));
-  Json events = Json::array();
-  for (const auto& spec : c.events) {
-    Json ev = Json::object();
-    ev.set("at_us", Json::number(spec.at_us));
-    ev.set("kind", Json::string(to_string(spec.kind)));
-    ev.set("target", Json::string(spec.target));
-    ev.set("factor", Json::number(spec.factor));
-    ev.set("for_us", Json::number(spec.for_us));
-    events.push(std::move(ev));
-  }
-  obj.set("events", std::move(events));
-  return obj;
-}
-
-DetectorSpec parse_detector(const Json& obj) {
-  check_keys(obj, "detector",
-             {"enabled", "alpha", "latency_threshold", "timeout_weight",
-              "warmup", "confirm", "probe_interval", "rejoin_margin",
-              "rejoin_confirm"});
-  DetectorSpec d;
-  if (const Json* e = obj.find("enabled")) d.enabled = e->as_bool();
-  d.alpha = get_double(obj, "alpha", d.alpha);
-  d.latency_threshold =
-      get_double(obj, "latency_threshold", d.latency_threshold);
-  d.timeout_weight = get_double(obj, "timeout_weight", d.timeout_weight);
-  d.warmup = static_cast<std::uint32_t>(get_uint(obj, "warmup", d.warmup));
-  d.confirm = static_cast<std::uint32_t>(get_uint(obj, "confirm", d.confirm));
-  d.probe_interval = static_cast<std::uint32_t>(
-      get_uint(obj, "probe_interval", d.probe_interval));
-  d.rejoin_margin = get_double(obj, "rejoin_margin", d.rejoin_margin);
-  d.rejoin_confirm = static_cast<std::uint32_t>(
-      get_uint(obj, "rejoin_confirm", d.rejoin_confirm));
-  if (d.alpha <= 0.0 || d.alpha > 1.0) {
-    throw JsonError("scenario: detector alpha must be in (0, 1]");
-  }
-  if (d.latency_threshold <= 1.0) {
-    throw JsonError("scenario: detector latency_threshold must be > 1");
-  }
-  if (d.timeout_weight < 0.0) {
-    throw JsonError("scenario: detector timeout_weight must be >= 0");
-  }
-  if (d.warmup == 0 || d.confirm == 0) {
-    throw JsonError("scenario: detector warmup and confirm must be >= 1");
-  }
-  if (d.probe_interval == 0 || d.rejoin_confirm == 0) {
-    throw JsonError(
-        "scenario: detector probe_interval and rejoin_confirm must be >= 1");
-  }
-  if (d.rejoin_margin < 1.0) {
-    throw JsonError("scenario: detector rejoin_margin must be >= 1");
-  }
-  return d;
-}
-
-Json dump_detector(const DetectorSpec& d) {
-  Json obj = Json::object();
-  obj.set("enabled", Json::boolean(d.enabled));
-  obj.set("alpha", Json::number(d.alpha));
-  obj.set("latency_threshold", Json::number(d.latency_threshold));
-  obj.set("timeout_weight", Json::number(d.timeout_weight));
-  obj.set("warmup", Json::number(std::uint64_t{d.warmup}));
-  obj.set("confirm", Json::number(std::uint64_t{d.confirm}));
-  obj.set("probe_interval", Json::number(std::uint64_t{d.probe_interval}));
-  obj.set("rejoin_margin", Json::number(d.rejoin_margin));
-  obj.set("rejoin_confirm", Json::number(std::uint64_t{d.rejoin_confirm}));
-  return obj;
-}
-
-TrafficSpec parse_traffic(const Json& obj) {
-  check_keys(obj, "traffic",
-             {"process", "rate_rps", "clients", "seed", "max_in_flight",
-              "queue_depth", "duration_us", "timeout_us", "req_bytes",
-              "resp_bytes", "burst_on_us", "burst_off_us",
-              "diurnal_period_us", "diurnal_amplitude", "lender_capacity_rps",
-              "qos_window_us", "tenant_gib", "failover_threshold", "tenants"});
-  TrafficSpec t;
-  t.process = get_string(obj, "process", "");
-  if (!t.process.empty() && t.process != "poisson" && t.process != "bursty" &&
-      t.process != "diurnal") {
-    throw JsonError("scenario: unknown traffic process \"" + t.process + "\"");
-  }
-  t.rate_rps = get_double(obj, "rate_rps", t.rate_rps);
-  t.clients = get_uint(obj, "clients", t.clients);
-  t.seed = get_uint(obj, "seed", t.seed);
-  t.max_in_flight =
-      static_cast<std::uint32_t>(get_uint(obj, "max_in_flight", t.max_in_flight));
-  t.queue_depth =
-      static_cast<std::uint32_t>(get_uint(obj, "queue_depth", t.queue_depth));
-  t.duration_us = get_double(obj, "duration_us", t.duration_us);
-  t.timeout_us = get_double(obj, "timeout_us", t.timeout_us);
-  t.req_bytes = get_uint(obj, "req_bytes", t.req_bytes);
-  t.resp_bytes = get_uint(obj, "resp_bytes", t.resp_bytes);
-  t.burst_on_us = get_double(obj, "burst_on_us", t.burst_on_us);
-  t.burst_off_us = get_double(obj, "burst_off_us", t.burst_off_us);
-  t.diurnal_period_us =
-      get_double(obj, "diurnal_period_us", t.diurnal_period_us);
-  t.diurnal_amplitude =
-      get_double(obj, "diurnal_amplitude", t.diurnal_amplitude);
-  t.lender_capacity_rps =
-      get_double(obj, "lender_capacity_rps", t.lender_capacity_rps);
-  t.qos_window_us = get_double(obj, "qos_window_us", t.qos_window_us);
-  t.tenant_gib = get_double(obj, "tenant_gib", t.tenant_gib);
-  t.failover_threshold = static_cast<std::uint32_t>(
-      get_uint(obj, "failover_threshold", t.failover_threshold));
+  const auto need = [](bool ok, const char* path, const std::string& msg) {
+    if (!ok) fail(path, msg);
+  };
+  const TrafficSpec& t = spec.traffic;
   if (t.enabled()) {
-    if (t.rate_rps <= 0.0) {
-      throw JsonError("scenario: traffic rate_rps must be > 0");
-    }
-    if (t.duration_us <= 0.0) {
-      throw JsonError("scenario: traffic duration_us must be > 0");
-    }
-    if (t.max_in_flight == 0) {
-      throw JsonError("scenario: traffic max_in_flight must be >= 1");
-    }
-    if (t.diurnal_amplitude < 0.0 || t.diurnal_amplitude > 1.0) {
-      throw JsonError("scenario: traffic diurnal_amplitude must be in [0,1]");
-    }
+    const std::string when = " when traffic.process is set";
+    need(t.rate_rps > 0.0, "traffic.rate_rps", "must be > 0" + when);
+    need(t.duration_us > 0.0, "traffic.duration_us", "must be > 0" + when);
+    need(t.max_in_flight >= 1, "traffic.max_in_flight", "must be >= 1" + when);
+    need(spec.pdes.threads >= 1, "pdes.threads",
+         "must be >= 1" + when + " (serving runs on per-node calendars)");
+    const bool gray = std::any_of(
+        spec.chaos.events.begin(), spec.chaos.events.end(),
+        [](const ChaosEventSpec& e) {
+          return e.kind == ChaosKind::kGrayLender;
+        });
+    need(!gray || t.lender_capacity_rps > 0.0, "traffic.lender_capacity_rps",
+         "must be > 0 when a chaos event is gray_lender" + when);
   }
-  if (const Json* tenants = obj.find("tenants")) {
-    for (const auto& te : tenants->items()) {
-      check_keys(te, "tenant", {"name", "weight", "rate_share"});
-      TrafficTenantSpec spec;
-      spec.name = get_string(te, "name", spec.name);
-      spec.weight =
-          static_cast<std::uint32_t>(get_uint(te, "weight", spec.weight));
-      if (spec.weight == 0) {
-        throw JsonError("scenario: tenant weight must be >= 1");
-      }
-      spec.rate_share = get_double(te, "rate_share", spec.rate_share);
-      if (spec.rate_share <= 0.0) {
-        throw JsonError("scenario: tenant rate_share must be > 0");
-      }
-      t.tenants.push_back(std::move(spec));
-    }
+  if (spec.pdes.enabled()) {
+    // The PDES lookahead derives from the least propagation in use.
+    const TopologySpec& topo = spec.topology;
+    const std::string msg = "must be > 0 when pdes.threads >= 1";
+    need(topo.link.propagation > 0, "topology.link.propagation_ns", msg);
+    need(topo.kind != TopologyKind::kDumbbell || topo.trunk.propagation > 0,
+         "topology.trunk.propagation_ns", msg);
+    need(topo.kind != TopologyKind::kLeafSpine || topo.uplink.propagation > 0,
+         "topology.uplink.propagation_ns", msg);
   }
-  return t;
+  const double lookahead_ns = spec.pdes.lookahead_ns;
+  need(lookahead_ns == 0.0 || sim::from_ns(lookahead_ns) > 0,
+       "pdes.lookahead_ns", "must be 0 (derived) or at least 0.001");
 }
 
-Json dump_traffic(const TrafficSpec& t) {
-  Json obj = Json::object();
-  obj.set("process", Json::string(t.process));
-  obj.set("rate_rps", Json::number(t.rate_rps));
-  obj.set("clients", Json::number(t.clients));
-  obj.set("seed", Json::number(t.seed));
-  obj.set("max_in_flight", Json::number(std::uint64_t{t.max_in_flight}));
-  obj.set("queue_depth", Json::number(std::uint64_t{t.queue_depth}));
-  obj.set("duration_us", Json::number(t.duration_us));
-  obj.set("timeout_us", Json::number(t.timeout_us));
-  obj.set("req_bytes", Json::number(t.req_bytes));
-  obj.set("resp_bytes", Json::number(t.resp_bytes));
-  obj.set("burst_on_us", Json::number(t.burst_on_us));
-  obj.set("burst_off_us", Json::number(t.burst_off_us));
-  obj.set("diurnal_period_us", Json::number(t.diurnal_period_us));
-  obj.set("diurnal_amplitude", Json::number(t.diurnal_amplitude));
-  obj.set("lender_capacity_rps", Json::number(t.lender_capacity_rps));
-  obj.set("qos_window_us", Json::number(t.qos_window_us));
-  obj.set("tenant_gib", Json::number(t.tenant_gib));
-  obj.set("failover_threshold",
-          Json::number(std::uint64_t{t.failover_threshold}));
-  Json tenants = Json::array();
-  for (const auto& te : t.tenants) {
-    Json tn = Json::object();
-    tn.set("name", Json::string(te.name));
-    tn.set("weight", Json::number(std::uint64_t{te.weight}));
-    tn.set("rate_share", Json::number(te.rate_share));
-    tenants.push(std::move(tn));
-  }
-  obj.set("tenants", std::move(tenants));
-  return obj;
-}
-
-SloSpec parse_slo(const Json& obj) {
-  check_keys(obj, "slo", {"p50_us", "p99_us", "p999_us", "window_us"});
-  SloSpec s;
-  s.p50_us = get_double(obj, "p50_us", s.p50_us);
-  s.p99_us = get_double(obj, "p99_us", s.p99_us);
-  s.p999_us = get_double(obj, "p999_us", s.p999_us);
-  s.window_us = get_double(obj, "window_us", s.window_us);
-  if (s.p50_us < 0.0 || s.p99_us < 0.0 || s.p999_us < 0.0) {
-    throw JsonError("scenario: slo targets must be >= 0");
-  }
-  if (s.window_us <= 0.0) {
-    throw JsonError("scenario: slo window_us must be > 0");
-  }
-  return s;
-}
-
-Json dump_slo(const SloSpec& s) {
-  Json obj = Json::object();
-  obj.set("p50_us", Json::number(s.p50_us));
-  obj.set("p99_us", Json::number(s.p99_us));
-  obj.set("p999_us", Json::number(s.p999_us));
-  obj.set("window_us", Json::number(s.window_us));
-  return obj;
-}
-
-Json dump_link(const net::LinkConfig& cfg) {
-  Json link = Json::object();
-  link.set("bandwidth_gbit", Json::number(cfg.bandwidth.gbit_per_sec()));
-  link.set("propagation_ns", Json::number(sim::to_ns(cfg.propagation)));
-  return link;
-}
-
-template <typename T>
-std::vector<T> parse_uint_array(const Json& arr) {
-  std::vector<T> out;
-  for (const auto& v : arr.items()) out.push_back(static_cast<T>(v.as_uint()));
-  return out;
-}
-
-template <typename T>
-Json dump_uint_array(const std::vector<T>& xs) {
-  Json arr = Json::array();
-  for (const T x : xs) arr.push(Json::number(std::uint64_t{x}));
-  return arr;
+/// The built-ins' node declarations: `borrowers` borrowers with the FPGA
+/// NIC, then `lenders` lenders without it.
+std::vector<NodeDecl> borrower_and_lender(std::uint32_t borrowers,
+                                          std::uint32_t lenders) {
+  NodeDecl borrower;
+  borrower.name = "borrower";
+  borrower.role = Role::kBorrower;
+  borrower.count = borrowers;
+  borrower.with_nic = true;
+  NodeDecl lender;
+  lender.name = "lender";
+  lender.count = lenders;
+  lender.with_nic = false;
+  return {borrower, lender};
 }
 
 }  // namespace
 
 std::string to_string(Role role) {
   return role == Role::kBorrower ? "borrower" : "lender";
-}
-
-Role parse_role(const std::string& name) {
-  if (name == "borrower") return Role::kBorrower;
-  if (name == "lender") return Role::kLender;
-  throw JsonError("scenario: unknown role \"" + name + "\"");
 }
 
 std::string to_string(TopologyKind kind) {
@@ -491,13 +682,6 @@ std::string to_string(TopologyKind kind) {
     case TopologyKind::kLeafSpine: return "leaf_spine";
   }
   return "?";
-}
-
-TopologyKind parse_topology_kind(const std::string& name) {
-  if (name == "direct") return TopologyKind::kDirect;
-  if (name == "dumbbell") return TopologyKind::kDumbbell;
-  if (name == "leaf_spine") return TopologyKind::kLeafSpine;
-  throw JsonError("scenario: unknown topology kind \"" + name + "\"");
 }
 
 std::string to_string(ChaosKind kind) {
@@ -510,16 +694,6 @@ std::string to_string(ChaosKind kind) {
   return "?";
 }
 
-ChaosKind parse_chaos_kind(const std::string& name) {
-  if (name == "kill_switch") return ChaosKind::kKillSwitch;
-  if (name == "brownout_port") return ChaosKind::kBrownoutPort;
-  if (name == "gray_lender") return ChaosKind::kGrayLender;
-  if (name == "recover") return ChaosKind::kRecover;
-  throw std::invalid_argument("unknown chaos event kind \"" + name +
-                              "\" (expected kill_switch, brownout_port, "
-                              "gray_lender or recover)");
-}
-
 std::vector<ChaosWindow> resolve_chaos(const ChaosSpec& chaos) {
   std::vector<ChaosWindow> windows;
   std::map<std::string, std::size_t> open;     // target -> open window index
@@ -527,36 +701,41 @@ std::vector<ChaosWindow> resolve_chaos(const ChaosSpec& chaos) {
   const auto at_event = [](std::size_t i) {
     return "chaos event " + std::to_string(i);
   };
+  // Each message leads with the path of the field at fault.
+  const auto reject = [](std::size_t i, const char* field,
+                         const std::string& what) {
+    throw std::invalid_argument("chaos.events[" + std::to_string(i) + "]." +
+                                field + ": " + what);
+  };
   for (std::size_t i = 0; i < chaos.events.size(); ++i) {
     const ChaosEventSpec& ev = chaos.events[i];
-    if (ev.at_us < 0.0) {
-      throw std::invalid_argument(at_event(i) + ": at_us must be >= 0");
-    }
+    if (ev.at_us < 0.0) reject(i, "at_us", at_event(i) + ": must be >= 0");
     if (i > 0 && ev.at_us < chaos.events[i - 1].at_us) {
-      throw std::invalid_argument(
-          "chaos events " + std::to_string(i - 1) + " and " +
-          std::to_string(i) + " out of order (at_us must be non-decreasing)");
+      reject(i, "at_us",
+             "chaos events " + std::to_string(i - 1) + " and " +
+                 std::to_string(i) +
+                 " out of order (at_us must be non-decreasing)");
     }
     if (ev.target.empty()) {
-      throw std::invalid_argument(at_event(i) + ": target is required");
+      reject(i, "target", at_event(i) + ": target is required");
     }
     const sim::Time at = sim::from_us(ev.at_us);
     if (ev.kind == ChaosKind::kRecover) {
       if (ev.factor != 0.0 || ev.for_us != 0.0) {
-        throw std::invalid_argument(
-            at_event(i) + ": recover takes no factor or for_us");
+        reject(i, ev.factor != 0.0 ? "factor" : "for_us",
+               at_event(i) + ": recover takes no factor or for_us");
       }
       const auto it = open.find(ev.target);
       if (it == open.end()) {
-        throw std::invalid_argument(at_event(i) + ": recover for \"" +
-                                    ev.target +
-                                    "\" matches no open chaos window");
+        reject(i, "target",
+               at_event(i) + ": recover for \"" + ev.target +
+                   "\" matches no open chaos window");
       }
       ChaosWindow& w = windows[it->second];
       if (at <= w.start) {
-        throw std::invalid_argument(
-            at_event(i) + ": recover must come strictly after the \"" +
-            ev.target + "\" window opened");
+        reject(i, "at_us",
+               at_event(i) + ": recover must come strictly after the \"" +
+                   ev.target + "\" window opened");
       }
       w.end = at;
       last_end[ev.target] = at;
@@ -566,43 +745,40 @@ std::vector<ChaosWindow> resolve_chaos(const ChaosSpec& chaos) {
     switch (ev.kind) {
       case ChaosKind::kKillSwitch:
         if (ev.factor != 0.0) {
-          throw std::invalid_argument(at_event(i) +
-                                      ": kill_switch takes no factor");
+          reject(i, "factor", at_event(i) + ": kill_switch takes no factor");
         }
         break;
       case ChaosKind::kBrownoutPort:
         if (ev.factor < 0.0 || ev.factor >= 1.0) {
-          throw std::invalid_argument(
-              at_event(i) + ": brownout_port factor must be in [0, 1)");
+          reject(i, "factor",
+                 at_event(i) + ": brownout_port factor must be in [0, 1)");
         }
         if (ev.target.find(':') == std::string::npos) {
-          throw std::invalid_argument(
-              at_event(i) +
-              ": brownout_port target must be \"switch:neighbor\"");
+          reject(i, "target",
+                 at_event(i) +
+                     ": brownout_port target must be \"switch:neighbor\"");
         }
         break;
       case ChaosKind::kGrayLender:
         if (ev.factor <= 1.0) {
-          throw std::invalid_argument(
-              at_event(i) + ": gray_lender factor must be > 1 (it inflates "
-                            "service latency)");
+          reject(i, "factor",
+                 at_event(i) + ": gray_lender factor must be > 1 (it "
+                               "inflates service latency)");
         }
         break;
       case ChaosKind::kRecover: break;  // handled above
     }
-    if (ev.for_us < 0.0) {
-      throw std::invalid_argument(at_event(i) + ": for_us must be >= 0");
-    }
+    if (ev.for_us < 0.0) reject(i, "for_us", at_event(i) + ": must be >= 0");
     if (open.count(ev.target) != 0) {
-      throw std::invalid_argument(
-          at_event(i) + ": target \"" + ev.target +
-          "\" already has an open chaos window (recover it first)");
+      reject(i, "target",
+             at_event(i) + ": target \"" + ev.target +
+                 "\" already has an open chaos window (recover it first)");
     }
     if (const auto le = last_end.find(ev.target);
         le != last_end.end() && at < le->second) {
-      throw std::invalid_argument(at_event(i) +
-                                  " overlaps the previous window on \"" +
-                                  ev.target + "\"");
+      reject(i, "at_us",
+             at_event(i) + " overlaps the previous window on \"" +
+                 ev.target + "\"");
     }
     ChaosWindow w;
     w.kind = ev.kind;
@@ -647,116 +823,9 @@ void ScenarioSpec::set_borrower_count(std::uint32_t count) {
 }
 
 ScenarioSpec from_json(const Json& doc) {
-  check_keys(doc, "scenario",
-             {"name", "description", "nodes", "topology", "injector", "policy",
-              "reservations", "workloads", "faults", "chaos", "detector",
-              "traffic", "slo", "pdes", "sweep"});
   ScenarioSpec spec;
-  spec.name = get_string(doc, "name", spec.name);
-  spec.description = get_string(doc, "description", "");
-  spec.policy = get_string(doc, "policy", spec.policy);
-
-  const Json* nodes = doc.find("nodes");
-  if (nodes == nullptr || nodes->items().empty()) {
-    throw JsonError("scenario: \"nodes\" array is required and non-empty");
-  }
-  for (const auto& n : nodes->items()) spec.nodes.push_back(parse_node(n));
-
-  if (const Json* topo = doc.find("topology")) {
-    check_keys(*topo, "topology",
-               {"kind", "link", "trunk", "uplink", "leaves", "spines",
-                "switch"});
-    spec.topology.kind =
-        parse_topology_kind(get_string(*topo, "kind", "direct"));
-    if (const Json* l = topo->find("link")) {
-      spec.topology.link = parse_link(*l, "link");
-    }
-    if (const Json* t = topo->find("trunk")) {
-      spec.topology.trunk = parse_link(*t, "trunk");
-    }
-    if (const Json* u = topo->find("uplink")) {
-      spec.topology.uplink = parse_link(*u, "uplink");
-    }
-    spec.topology.leaves = static_cast<std::uint32_t>(
-        get_uint(*topo, "leaves", spec.topology.leaves));
-    spec.topology.spines = static_cast<std::uint32_t>(
-        get_uint(*topo, "spines", spec.topology.spines));
-    if (spec.topology.leaves == 0 || spec.topology.spines == 0) {
-      throw JsonError(
-          "scenario: topology leaves and spines must each be >= 1");
-    }
-    if (const Json* s = topo->find("switch")) {
-      spec.topology.sw = parse_switch(*s);
-    }
-  }
-
-  if (const Json* inj = doc.find("injector")) {
-    check_keys(*inj, "injector", {"period", "distribution", "mean_us", "seed"});
-    spec.injector.period = get_uint(*inj, "period", 1);
-    const std::string dist = get_string(*inj, "distribution", "");
-    if (!dist.empty()) spec.injector.dist_kind = net::parse_dist_kind(dist);
-    spec.injector.dist_mean_us = get_double(*inj, "mean_us", 0.0);
-    spec.injector.dist_seed = get_uint(*inj, "seed", 42);
-  }
-
-  if (const Json* rs = doc.find("reservations")) {
-    for (const auto& r : rs->items()) {
-      check_keys(r, "reservation", {"borrower", "size_gib", "chunks", "name"});
-      ReservationSpec res;
-      res.borrower = get_string(r, "borrower", "");
-      res.size_gib = get_uint(r, "size_gib", res.size_gib);
-      res.chunks = static_cast<std::uint32_t>(get_uint(r, "chunks", 1));
-      if (res.chunks == 0) {
-        throw JsonError("scenario: reservation chunks must be >= 1");
-      }
-      res.name = get_string(r, "name", res.name);
-      spec.reservations.push_back(std::move(res));
-    }
-  }
-
-  if (const Json* ws = doc.find("workloads")) {
-    for (const auto& w : ws->items()) {
-      check_keys(w, "workload", {"kind", "placement"});
-      WorkloadSpec wl;
-      wl.kind = get_string(w, "kind", wl.kind);
-      wl.placement = get_string(w, "placement", wl.placement);
-      spec.workloads.push_back(std::move(wl));
-    }
-  }
-
-  if (const Json* f = doc.find("faults")) spec.faults = parse_faults(*f);
-  if (const Json* c = doc.find("chaos")) spec.chaos = parse_chaos(*c);
-  if (const Json* d = doc.find("detector")) {
-    spec.detector = parse_detector(*d);
-  }
-  if (const Json* t = doc.find("traffic")) spec.traffic = parse_traffic(*t);
-  if (const Json* s = doc.find("slo")) spec.slo = parse_slo(*s);
-
-  if (const Json* p = doc.find("pdes")) {
-    check_keys(*p, "pdes", {"threads", "lookahead_ns"});
-    spec.pdes.threads =
-        static_cast<std::uint32_t>(get_uint(*p, "threads", 0));
-    spec.pdes.lookahead_ns = get_double(*p, "lookahead_ns", 0.0);
-    if (spec.pdes.lookahead_ns < 0.0) {
-      throw JsonError("scenario: pdes lookahead_ns must be >= 0");
-    }
-  }
-
-  if (const Json* sw = doc.find("sweep")) {
-    check_keys(*sw, "sweep", {"periods", "lenders", "borrowers", "instances"});
-    if (const Json* p = sw->find("periods")) {
-      spec.sweep.periods = parse_uint_array<std::uint64_t>(*p);
-    }
-    if (const Json* l = sw->find("lenders")) {
-      spec.sweep.lenders = parse_uint_array<std::uint32_t>(*l);
-    }
-    if (const Json* b = sw->find("borrowers")) {
-      spec.sweep.borrowers = parse_uint_array<std::uint32_t>(*b);
-    }
-    if (const Json* i = sw->find("instances")) {
-      spec.sweep.instances = parse_uint_array<std::uint32_t>(*i);
-    }
-  }
+  read_block(scenario_table(), spec, doc, "");
+  validate(spec);
   return spec;
 }
 
@@ -779,82 +848,17 @@ ScenarioSpec load_file(const std::string& path) {
 }
 
 Json to_json(const ScenarioSpec& spec) {
-  Json doc = Json::object();
-  doc.set("name", Json::string(spec.name));
-  doc.set("description", Json::string(spec.description));
-  doc.set("policy", Json::string(spec.policy));
-
-  Json nodes = Json::array();
-  for (const auto& n : spec.nodes) nodes.push(dump_node(n));
-  doc.set("nodes", std::move(nodes));
-
-  Json topo = Json::object();
-  topo.set("kind", Json::string(to_string(spec.topology.kind)));
-  topo.set("link", dump_link(spec.topology.link));
-  topo.set("trunk", dump_link(spec.topology.trunk));
-  topo.set("uplink", dump_link(spec.topology.uplink));
-  topo.set("leaves", Json::number(std::uint64_t{spec.topology.leaves}));
-  topo.set("spines", Json::number(std::uint64_t{spec.topology.spines}));
-  Json sw_cfg = Json::object();
-  sw_cfg.set("buffer_kib",
-             Json::number(static_cast<double>(spec.topology.sw.buffer_bytes) /
-                          1024.0));
-  sw_cfg.set("policy", Json::string(net::to_string(spec.topology.sw.policy)));
-  topo.set("switch", std::move(sw_cfg));
-  doc.set("topology", std::move(topo));
-
-  Json inj = Json::object();
-  inj.set("period", Json::number(spec.injector.period));
-  inj.set("distribution",
-          Json::string(spec.injector.dist_kind.has_value()
-                           ? net::to_string(*spec.injector.dist_kind)
-                           : ""));
-  inj.set("mean_us", Json::number(spec.injector.dist_mean_us));
-  inj.set("seed", Json::number(spec.injector.dist_seed));
-  doc.set("injector", std::move(inj));
-
-  Json rs = Json::array();
-  for (const auto& r : spec.reservations) {
-    Json res = Json::object();
-    res.set("borrower", Json::string(r.borrower));
-    res.set("size_gib", Json::number(r.size_gib));
-    res.set("chunks", Json::number(std::uint64_t{r.chunks}));
-    res.set("name", Json::string(r.name));
-    rs.push(std::move(res));
-  }
-  doc.set("reservations", std::move(rs));
-
-  Json ws = Json::array();
-  for (const auto& w : spec.workloads) {
-    Json wl = Json::object();
-    wl.set("kind", Json::string(w.kind));
-    wl.set("placement", Json::string(w.placement));
-    ws.push(std::move(wl));
-  }
-  doc.set("workloads", std::move(ws));
-
-  doc.set("faults", dump_faults(spec.faults));
-  doc.set("chaos", dump_chaos(spec.chaos));
-  doc.set("detector", dump_detector(spec.detector));
-  doc.set("traffic", dump_traffic(spec.traffic));
-  doc.set("slo", dump_slo(spec.slo));
-
-  Json pdes = Json::object();
-  pdes.set("threads", Json::number(std::uint64_t{spec.pdes.threads}));
-  pdes.set("lookahead_ns", Json::number(spec.pdes.lookahead_ns));
-  doc.set("pdes", std::move(pdes));
-
-  Json sw = Json::object();
-  sw.set("periods", dump_uint_array(spec.sweep.periods));
-  sw.set("lenders", dump_uint_array(spec.sweep.lenders));
-  sw.set("borrowers", dump_uint_array(spec.sweep.borrowers));
-  sw.set("instances", dump_uint_array(spec.sweep.instances));
-  doc.set("sweep", std::move(sw));
-  return doc;
+  return write_block(scenario_table(), spec);
 }
 
 std::string resolved_json(const ScenarioSpec& spec) {
   return to_json(spec).dump() + "\n";
+}
+
+std::vector<FieldInfo> schema() {
+  std::vector<FieldInfo> out;
+  describe_block(scenario_table(), "", out);
+  return out;
 }
 
 ScenarioSpec paper_two_node() {
@@ -863,15 +867,7 @@ ScenarioSpec paper_two_node() {
   spec.description =
       "The paper's two-node ThymesisFlow prototype: one borrower, one "
       "lender, 100 Gb/s point-to-point cable, 16 GiB borrowed";
-  NodeDecl borrower;
-  borrower.name = "borrower";
-  borrower.role = Role::kBorrower;
-  borrower.with_nic = true;
-  NodeDecl lender;
-  lender.name = "lender";
-  lender.role = Role::kLender;
-  lender.with_nic = false;
-  spec.nodes = {borrower, lender};
+  spec.nodes = borrower_and_lender(1, 1);
   spec.reservations.push_back(ReservationSpec{});
   spec.workloads.push_back(WorkloadSpec{});
   return spec;
@@ -883,16 +879,7 @@ ScenarioSpec pooling_1xN(std::uint32_t lenders) {
   spec.description =
       "One borrower pooling remote memory striped across N equal lenders "
       "(most-free placement round-robins the chunks)";
-  NodeDecl borrower;
-  borrower.name = "borrower";
-  borrower.role = Role::kBorrower;
-  borrower.with_nic = true;
-  NodeDecl lender;
-  lender.name = "lender";
-  lender.role = Role::kLender;
-  lender.with_nic = false;
-  lender.count = lenders;
-  spec.nodes = {borrower, lender};
+  spec.nodes = borrower_and_lender(1, lenders);
   spec.policy = "most-free";
   ReservationSpec res;
   res.size_gib = 16;
@@ -911,17 +898,7 @@ ScenarioSpec shared_trunk(std::uint32_t borrowers) {
   spec.description =
       "M borrower-lender pairs on a two-switch dumbbell sharing one trunk "
       "-- M:1 oversubscription, the congestion the paper emulates";
-  NodeDecl borrower;
-  borrower.name = "borrower";
-  borrower.role = Role::kBorrower;
-  borrower.with_nic = true;
-  borrower.count = borrowers;
-  NodeDecl lender;
-  lender.name = "lender";
-  lender.role = Role::kLender;
-  lender.with_nic = false;
-  lender.count = borrowers;
-  spec.nodes = {borrower, lender};
+  spec.nodes = borrower_and_lender(borrowers, borrowers);
   spec.topology.kind = TopologyKind::kDumbbell;
   spec.policy = "most-free";
   ReservationSpec res;
@@ -941,17 +918,7 @@ ScenarioSpec leafspine_rack(std::uint32_t borrowers) {
       "M borrower-lender pairs across a 2-tier leaf/spine fabric; partners "
       "sit on different leaves so every access ECMP-stripes over the spines "
       "-- the contention cliff moves out by the spine count vs one trunk";
-  NodeDecl borrower;
-  borrower.name = "borrower";
-  borrower.role = Role::kBorrower;
-  borrower.with_nic = true;
-  borrower.count = borrowers;
-  NodeDecl lender;
-  lender.name = "lender";
-  lender.role = Role::kLender;
-  lender.with_nic = false;
-  lender.count = borrowers;
-  spec.nodes = {borrower, lender};
+  spec.nodes = borrower_and_lender(borrowers, borrowers);
   spec.topology.kind = TopologyKind::kLeafSpine;
   spec.topology.leaves = 8;
   spec.topology.spines = 4;
@@ -976,17 +943,7 @@ ScenarioSpec serving_diurnal() {
       "(3:1 QoS weights) offer a diurnal open-loop load against p50/p99/p999 "
       "SLOs; lender0 is killed at mid-cycle, forcing both tenants onto the "
       "survivor where credit-based QoS arbitrates the crunch";
-  NodeDecl borrower;
-  borrower.name = "borrower";
-  borrower.role = Role::kBorrower;
-  borrower.with_nic = true;
-  borrower.count = 8;
-  NodeDecl lender;
-  lender.name = "lender";
-  lender.role = Role::kLender;
-  lender.with_nic = false;
-  lender.count = 2;
-  spec.nodes = {borrower, lender};
+  spec.nodes = borrower_and_lender(8, 2);
   spec.topology.kind = TopologyKind::kLeafSpine;
   spec.topology.leaves = 8;
   spec.topology.spines = 4;

@@ -31,7 +31,6 @@ namespace tfsim::scenario {
 enum class Role { kBorrower, kLender };
 
 std::string to_string(Role role);
-Role parse_role(const std::string& name);
 
 /// One node *template*: `count` > 1 expands into count nodes named
 /// "<name>0".."<name>N-1" (a single node keeps the bare name).
@@ -56,7 +55,6 @@ enum class TopologyKind {
 };
 
 std::string to_string(TopologyKind kind);
-TopologyKind parse_topology_kind(const std::string& name);
 
 struct TopologySpec {
   TopologyKind kind = TopologyKind::kDirect;
@@ -121,7 +119,6 @@ enum class ChaosKind {
 };
 
 std::string to_string(ChaosKind kind);
-ChaosKind parse_chaos_kind(const std::string& name);
 
 /// One scripted chaos event.  `target` is a switch name suffix ("spine1"),
 /// a "switch:neighbor" egress port ("leaf0:spine1"), or an expanded lender
@@ -161,10 +158,10 @@ struct ChaosWindow {
 };
 
 /// Validate the timeline and resolve it into per-target windows (stable
-/// event order).  Throws std::invalid_argument naming the offending event
-/// index.  node::Cluster applies the switch windows at assembly;
-/// core/run_serving applies the gray-lender windows; bench/chaos_mttr
-/// scores recovery per window.
+/// event order).  Throws std::invalid_argument naming the offending field
+/// ("chaos.events[2].factor: ...").  node::Cluster applies the switch
+/// windows at assembly; core/run_serving applies the gray-lender windows;
+/// bench/chaos_mttr scores recovery per window.
 std::vector<ChaosWindow> resolve_chaos(const ChaosSpec& chaos);
 
 /// Online gray-failure detector settings (ctrl/health.hpp) for the serving
@@ -294,10 +291,11 @@ struct ScenarioSpec {
   void set_borrower_count(std::uint32_t count);
 };
 
-// --- JSON (schema documented in DESIGN.md section 9) -----------------------
+// --- JSON (schema: the field tables in scenario.cpp; DESIGN.md section 9) --
 
 /// Parse a scenario document; throws JsonError on syntax errors, unknown
-/// keys (so files cannot rot silently), or invalid values.
+/// keys (so files cannot rot silently), or out-of-range values, naming the
+/// full path of the offending field ("nodes[0].nic.window_entries: ...").
 ScenarioSpec from_json(const Json& doc);
 ScenarioSpec parse(const std::string& text);
 /// Load from a file; throws std::runtime_error when unreadable.
@@ -308,6 +306,27 @@ ScenarioSpec load_file(const std::string& path);
 /// reproduces s exactly.
 Json to_json(const ScenarioSpec& spec);
 std::string resolved_json(const ScenarioSpec& spec);
+
+/// Accepted numeric values [lo, hi]; an open end excludes its bound.
+struct Range {
+  double lo = 0.0;
+  double hi = 0.0;
+  bool lo_open = false;
+  bool hi_open = false;
+};
+
+/// One leaf of the schema as its field table declares it.  Array elements
+/// are spelled "[]" in the path ("nodes[].nic.window_entries").
+struct FieldInfo {
+  enum class Type { kBool, kInteger, kNumber, kString };
+  std::string path;
+  Type type = Type::kNumber;
+  Range range;                       ///< numbers, in the key's unit
+  std::vector<std::string> choices;  ///< strings: accepted values; empty = any
+};
+
+/// Every leaf of the schema, in dump order.
+std::vector<FieldInfo> schema();
 
 // --- built-in scenarios ----------------------------------------------------
 

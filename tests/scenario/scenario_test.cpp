@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "json_leaf.hpp"
 #include "node/testbed.hpp"
 #include "scenario/json.hpp"
 #include "scenario/scenario.hpp"
@@ -11,6 +16,23 @@
 
 namespace tfsim::scenario {
 namespace {
+
+/// The JsonError message parsing `text` raises; "" when it parses.
+std::string rejection(const std::string& text) {
+  try {
+    parse(text);
+  } catch (const JsonError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Parsing `text` must fail with a message containing `needle`.
+void expect_rejected(const std::string& text, const std::string& needle) {
+  const std::string what = rejection(text);
+  EXPECT_NE(what.find(needle), std::string::npos)
+      << "expected \"" << needle << "\" in \"" << what << "\"";
+}
 
 // --- built-ins ---------------------------------------------------------
 
@@ -282,9 +304,12 @@ TEST(ScenarioJsonTest, UnknownKeysRejected) {
   EXPECT_THROW(parse(R"({"name": "x", "bogus": 1})"), JsonError);
   EXPECT_THROW(parse(R"({"nodes": [{"name": "b", "typo_role": "borrower"}]})"),
                JsonError);
-  EXPECT_THROW(parse(R"({"nodes": [{"name": "b"}],
-                          "topology": {"link": {"bandwidth_mbit": 1}}})"),
-               JsonError);
+  // The error names the full path of the unknown key.
+  expect_rejected(R"({"nodes": [{"name": "b"}],
+                      "topology": {"link": {"bandwidth_mbit": 1}}})",
+                  "topology.link.bandwidth_mbit: unknown key");
+  expect_rejected(R"({"nodes": [{"name": "a"}, {"name": "b", "typo": 1}]})",
+                  "nodes[1].typo: unknown key");
 }
 
 TEST(ScenarioJsonTest, InvalidValuesRejected) {
@@ -294,6 +319,200 @@ TEST(ScenarioJsonTest, InvalidValuesRejected) {
                JsonError);
   EXPECT_THROW(parse("{"), JsonError);            // truncated document
   EXPECT_THROW(parse(R"({"name": 42})"), JsonError);  // kind mismatch
+
+  // Every rejection names the full path of the offending field.
+  expect_rejected(R"({"name": 42})", "name: must be a string, got 42");
+  expect_rejected(R"({"nodes": [{"role": "overlord"}]})",
+                  R"(nodes[0].role: must be one of "borrower", "lender")");
+  expect_rejected(R"({"nodes": [
+                        {"name": "a"},
+                        {"name": "b", "nic": {"window_entries": -1}}]})",
+                  "nodes[1].nic.window_entries: must be an integer in "
+                  "[1, 4294967295], got -1");
+  expect_rejected(R"({"nodes": [{"name": "b", "nic": {"period": 0.5}}]})",
+                  "nodes[0].nic.period: must be an integer");
+  expect_rejected(R"({"nodes": [{"name": "b", "dram": {"capacity_gib": 0}}]})",
+                  "nodes[0].dram.capacity_gib: must be a number in");
+  expect_rejected(R"({"nodes": [{"name": "b"}],
+                      "topology": {"link": {"propagation_ns": -1}}})",
+                  "topology.link.propagation_ns: must be a number in");
+  expect_rejected(R"({"nodes": [{"name": "b"}],
+                      "traffic": {"tenants": [{"name": "t", "weight": 0}]}})",
+                  "traffic.tenants[0].weight: must be an integer in "
+                  "[1, 4294967295], got 0");
+  expect_rejected(R"({"nodes": [{"name": "b"}],
+                      "traffic": {"diurnal_period_us": 1e30}})",
+                  "traffic.diurnal_period_us: must be a number in "
+                  "[1e-06, 1000000000000], got 1e+30");
+  expect_rejected(R"({"nodes": [{"name": "b"}], "chaos": {"events": [
+                       {"at_us": 1, "kind": "kill_switch", "target": "s0"},
+                       {"at_us": 2, "kind": "kill_switch", "target": "s1"},
+                       {"at_us": 3, "kind": "gray_lender", "target": "l0",
+                        "factor": 1}]}})",
+                  "chaos.events[2].factor: chaos event 2: gray_lender factor");
+  expect_rejected(R"({"nodes": [{"name": "b"}], "chaos": {"events": [
+                       {"at_us": 1, "kind": "kill_switch", "target": "s0"},
+                       {"at_us": 2, "kind": "kill_switch", "target": "s1"},
+                       {"at_us": 3, "kind": "gray_lender", "target": "l0",
+                        "factor": 1e30}]}})",
+                  "chaos.events[2].factor: must be a number in [0, 1000]");
+  expect_rejected(R"({"nodes": []})", "nodes: is required");
+
+  // Cross-field rules name a path too.
+  expect_rejected(R"({"nodes": [{"name": "b"}],
+                      "traffic": {"process": "poisson", "rate_rps": 1000,
+                                  "duration_us": 100}})",
+                  "pdes.threads: must be >= 1 when traffic.process is set");
+  expect_rejected(R"({"nodes": [{"name": "b"}], "pdes": {"threads": 2},
+                      "topology": {"link": {"propagation_ns": 0}}})",
+                  "topology.link.propagation_ns: must be > 0 when "
+                  "pdes.threads >= 1");
+}
+
+TEST(ScenarioJsonTest, DeepNestingRejectedWithoutOverflow) {
+  // A recursive-descent parser without a depth cap overflows its stack here.
+  const std::size_t depth = 200'000;
+  const std::string doc = R"({"nodes": )" + std::string(depth, '[') +
+                          std::string(depth, ']') + "}";
+  expect_rejected(doc, "json: nesting deeper than 64 levels at line 1:");
+  // Ordinary nesting stays well inside the cap.
+  EXPECT_NO_THROW(Json::parse(std::string(60, '[') + std::string(60, ']')));
+}
+
+TEST(ScenarioJsonTest, CheckedInFilesRoundTripExactly) {
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(TFSIM_SOURCE_DIR) + "/scenarios")) {
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string dumped = resolved_json(parse(text.str()));
+    EXPECT_EQ(resolved_json(parse(dumped)), dumped) << entry.path();
+    // Files named after a built-in are that built-in's dump, byte for byte.
+    if (const auto spec = builtin(entry.path().stem().string())) {
+      EXPECT_EQ(text.str(), resolved_json(*spec)) << entry.path();
+    }
+    ++files;
+  }
+  EXPECT_GE(files, 8u);
+}
+
+// --- schema: one field table per block -----------------------------------
+
+/// The leaf at `path` ("nodes[0].nic.period"), or nullptr.
+const Json* leaf_at(const Json& doc, const std::string& path) {
+  const Json* v = &doc;
+  std::size_t pos = 0;
+  while (v != nullptr && pos < path.size()) {
+    if (path[pos] == '.') ++pos;
+    if (path[pos] == '[') {
+      const std::size_t close = path.find(']', pos);
+      const std::size_t i = std::stoul(path.substr(pos + 1, close - pos - 1));
+      v = i < v->items().size() ? &v->items()[i] : nullptr;
+      pos = close + 1;
+    } else {
+      const std::size_t end = path.find_first_of(".[", pos);
+      v = v->find(path.substr(pos, end - pos));
+      pos = end == std::string::npos ? path.size() : end;
+    }
+  }
+  return v;
+}
+
+bool in_range(const Range& r, double x) {
+  return (r.lo_open ? x > r.lo : x >= r.lo) &&
+         (r.hi_open ? x < r.hi : x <= r.hi);
+}
+
+/// Non-default, in-range values to try for `f`, whose current value is
+/// `cur` (several, because cross-field rules reject some of them).
+std::vector<Json> candidates(const FieldInfo& f, const Json& cur) {
+  std::vector<Json> out;
+  switch (f.type) {
+    case FieldInfo::Type::kBool:
+      out.push_back(Json::boolean(!cur.as_bool()));
+      break;
+    case FieldInfo::Type::kString:
+      for (const std::string& c : f.choices) {
+        if (c != cur.as_string()) out.push_back(Json::string(c));
+      }
+      if (f.choices.empty()) out.push_back(Json::string(cur.as_string() + "x"));
+      break;
+    case FieldInfo::Type::kInteger:
+    case FieldInfo::Type::kNumber: {
+      const Range& r = f.range;
+      const double x = cur.as_double();
+      for (const double v : {x + 1, x + 0.5, (r.lo + r.hi) / 2, r.lo, x / 2}) {
+        if (v != x && in_range(r, v) &&
+            (f.type == FieldInfo::Type::kNumber || v == std::floor(v))) {
+          out.push_back(Json::number(v));
+        }
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(ScenarioSchemaTest, EveryFieldRoundTripsAtANonDefaultValue) {
+  // One element in every array, so every table row has a leaf to set.
+  const Json base = to_json(parse(R"({
+    "nodes": [{"name": "b", "role": "borrower"}],
+    "reservations": [{"borrower": "b"}],
+    "workloads": [{"kind": "flow"}],
+    "faults": {"flaps": [{"at_us": 10, "for_us": 5, "factor": 0.5}],
+               "kill_lender": {"node": "l", "at_us": 100}},
+    "chaos": {"events": [{"at_us": 1, "kind": "brownout_port",
+                          "target": "leaf0:spine0"}]},
+    "traffic": {"process": "poisson", "rate_rps": 1000, "duration_us": 100,
+                "tenants": [{"name": "t"}]},
+    "pdes": {"threads": 1},
+    "sweep": {"periods": [1], "lenders": [1], "borrowers": [1],
+              "instances": [1]}
+  })"));
+  const std::vector<FieldInfo> fields = schema();
+  ASSERT_GT(fields.size(), 90u);
+  for (const FieldInfo& f : fields) {
+    std::string path = f.path;
+    for (std::size_t at; (at = path.find("[]")) != std::string::npos;) {
+      path.replace(at, 2, "[0]");
+    }
+    const Json* cur = leaf_at(base, path);
+    ASSERT_NE(cur, nullptr) << path << " is not in the dump";
+    bool round_tripped = false;
+    for (const Json& value : candidates(f, *cur)) {
+      const std::string text = with_leaf(base, "", path, value).dump();
+      if (!rejection(text).empty()) continue;  // a cross-field rule said no
+      const std::string dumped = resolved_json(parse(text));
+      EXPECT_EQ(resolved_json(parse(dumped)), dumped) << path;
+      const Json doc = Json::parse(dumped);
+      const Json* got = leaf_at(doc, path);
+      ASSERT_NE(got, nullptr) << path;
+      EXPECT_EQ(got->dump(-1), value.dump(-1)) << path;
+      round_tripped = true;
+      break;
+    }
+    EXPECT_TRUE(round_tripped) << path << ": no in-range value parsed";
+  }
+}
+
+TEST(ScenarioSchemaTest, EveryKeyRejectsOutOfRangeValuesNamingItsPath) {
+  const Json base = to_json(paper_two_node());
+  for (const FieldInfo& f : schema()) {
+    if (f.type != FieldInfo::Type::kInteger &&
+        f.type != FieldInfo::Type::kNumber) {
+      continue;
+    }
+    std::string path = f.path;
+    for (std::size_t at; (at = path.find("[]")) != std::string::npos;) {
+      path.replace(at, 2, "[0]");
+    }
+    if (leaf_at(base, path) == nullptr) continue;  // e.g. an empty array
+    for (const double bad : {-1.0, 1e30}) {
+      expect_rejected(with_leaf(base, "", path, Json::number(bad)).dump(),
+                      path + ": must be ");
+    }
+  }
 }
 
 // --- chaos timeline + detector ------------------------------------------

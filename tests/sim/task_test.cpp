@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/sync.hpp"
-
 namespace tfsim::sim {
 namespace {
 
@@ -88,106 +86,6 @@ TEST(TaskTest, UntilAwaiterIsReadyForPastTimes) {
   EXPECT_TRUE(a.await_ready());
   UntilAwaiter b{e, 150};
   EXPECT_FALSE(b.await_ready());
-}
-
-// --- Trigger ---------------------------------------------------------
-
-Task wait_trigger(Trigger& tr, int& hits) {
-  co_await tr;
-  ++hits;
-}
-
-TEST(SyncTest, TriggerWakesAllWaiters) {
-  Trigger tr;
-  int hits = 0;
-  Task a = wait_trigger(tr, hits);
-  Task b = wait_trigger(tr, hits);
-  EXPECT_EQ(hits, 0);
-  tr.fire();
-  EXPECT_EQ(hits, 2);
-  EXPECT_TRUE(a.done());
-  EXPECT_TRUE(b.done());
-}
-
-TEST(SyncTest, FiredTriggerIsImmediate) {
-  Trigger tr;
-  tr.fire();
-  int hits = 0;
-  Task a = wait_trigger(tr, hits);
-  EXPECT_EQ(hits, 1);
-}
-
-TEST(SyncTest, TriggerResetRearms) {
-  Trigger tr;
-  tr.fire();
-  tr.reset();
-  int hits = 0;
-  Task a = wait_trigger(tr, hits);
-  EXPECT_EQ(hits, 0);
-  tr.fire();
-  EXPECT_EQ(hits, 1);
-}
-
-// --- Semaphore -------------------------------------------------------
-
-Task hold_sem(Engine& e, Semaphore& sem, Time hold, std::vector<int>& order,
-              int id) {
-  co_await sem.acquire();
-  order.push_back(id);
-  co_await delay(e, hold);
-  sem.release();
-}
-
-TEST(SyncTest, SemaphoreLimitsConcurrency) {
-  Engine e;
-  Semaphore sem(2);
-  std::vector<int> order;
-  std::vector<Task> tasks;
-  for (int i = 0; i < 4; ++i) tasks.push_back(hold_sem(e, sem, 10, order, i));
-  // Only 2 acquired immediately.
-  EXPECT_EQ(order.size(), 2u);
-  e.run();
-  EXPECT_EQ(order.size(), 4u);
-  // FIFO: waiters admitted in arrival order.
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(sem.available(), 2u);
-}
-
-TEST(SyncTest, SemaphoreFastPathDoesNotJumpQueue) {
-  Engine e;
-  Semaphore sem(1);
-  std::vector<int> order;
-  std::vector<Task> tasks;
-  tasks.push_back(hold_sem(e, sem, 10, order, 0));  // holds the slot
-  tasks.push_back(hold_sem(e, sem, 10, order, 1));  // queued
-  tasks.push_back(hold_sem(e, sem, 10, order, 2));  // queued behind 1
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-// --- Latch -----------------------------------------------------------
-
-Task wait_latch(Latch& l, bool& done) {
-  co_await l;
-  done = true;
-}
-
-TEST(SyncTest, LatchFiresAfterCountdown) {
-  Latch l(3);
-  bool done = false;
-  Task t = wait_latch(l, done);
-  l.count_down();
-  l.count_down();
-  EXPECT_FALSE(done);
-  l.count_down();
-  EXPECT_TRUE(done);
-}
-
-TEST(SyncTest, ZeroLatchIsImmediate) {
-  Latch l(0);
-  bool done = false;
-  Task t = wait_latch(l, done);
-  EXPECT_TRUE(done);
 }
 
 }  // namespace
