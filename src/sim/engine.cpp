@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace tfsim::sim {
@@ -36,6 +37,15 @@ Engine::EventId Engine::schedule_at(Time t, Callback cb) {
   queue_.push(Entry{t, next_seq_++, idx, s.gen});
   ++live_;
   return EventId(this, idx, s.gen);
+}
+
+Engine::EventId Engine::schedule_in(Time dt, Callback cb) {
+  if (dt > kTimeNever - now_) {
+    throw std::logic_error(
+        "Engine::schedule_in: now + dt overflows simulated time (now=" +
+        std::to_string(now_) + " ps, dt=" + std::to_string(dt) + " ps)");
+  }
+  return schedule_at(now_ + dt, std::move(cb));
 }
 
 void Engine::cancel(EventId& id) {
@@ -115,10 +125,11 @@ void Engine::run_until(Time t) {
   if (t > now_) now_ = t;
 }
 
-void Engine::run_before(Time t) {
+Time Engine::run_before(Time t) {
   for (;;) {
     while (!queue_.empty() && !entry_live(queue_.top())) queue_.pop();
-    if (queue_.empty() || queue_.top().time >= t) break;
+    if (queue_.empty()) return kTimeNever;
+    if (queue_.top().time >= t) return queue_.top().time;
     step();
   }
 }

@@ -56,8 +56,10 @@ class Engine {
   /// Schedule `cb` at absolute time `t` (must be >= now()).
   EventId schedule_at(Time t, Callback cb);
 
-  /// Schedule `cb` `dt` after the current time.
-  EventId schedule_in(Time dt, Callback cb) { return schedule_at(now_ + dt, std::move(cb)); }
+  /// Schedule `cb` `dt` after the current time.  Throws std::logic_error
+  /// when now() + dt does not fit in Time (e.g. a zero-bandwidth
+  /// serialization delay) instead of wrapping into the past.
+  EventId schedule_in(Time dt, Callback cb);
 
   /// Cancel a previously scheduled event.  Safe on fired/invalid ids.
   /// Presenting a handle minted by a *different* engine is a no-op on this
@@ -80,8 +82,10 @@ class Engine {
   /// event (NOT advanced to t).  This is the PDES window primitive: a
   /// domain executes its slice of [window, horizon) without claiming to
   /// have reached the horizon, so cross-domain arrivals scheduled exactly
-  /// at the horizon are still in this calendar's future.
-  void run_before(Time t);
+  /// at the horizon are still in this calendar's future.  Returns the
+  /// earliest live event time left (>= t), or kTimeNever when the calendar
+  /// is empty -- the same value next_event_time() would report.
+  Time run_before(Time t);
 
   /// Earliest live event time, or nullopt when the calendar is empty.
   /// Prunes stale (cancelled) queue heads as a side effect.

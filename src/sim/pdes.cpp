@@ -32,6 +32,7 @@ ParallelEngine::ParallelEngine(std::size_t num_domains, PdesConfig cfg)
   }
   outboxes_.resize(num_domains);
   errors_.resize(num_domains);
+  next_.resize(num_domains, kTimeNever);
 }
 
 void ParallelEngine::set_lookahead(Time lookahead) {
@@ -66,15 +67,6 @@ void ParallelEngine::post(DomainId src, DomainId dst, Time t,
   outboxes_[src].push_back(Pending{dst, t, std::move(cb)});
 }
 
-Time ParallelEngine::next_event_time() {
-  Time min = kTimeNever;
-  for (const auto& d : domains_) {
-    const std::optional<Time> t = d->next_event_time();
-    if (t.has_value() && *t < min) min = *t;
-  }
-  return min;
-}
-
 void ParallelEngine::flush_outboxes() {
   // Fixed (source domain, send order) flush so same-timestamp cross-domain
   // arrivals get identical sequence numbers in the target calendar for
@@ -83,13 +75,14 @@ void ParallelEngine::flush_outboxes() {
   for (auto& box : outboxes_) {
     for (Pending& p : box) {
       domains_[p.dst]->schedule_at(p.time, std::move(p.cb));
+      next_[p.dst] = std::min(next_[p.dst], p.time);
     }
     box.clear();
   }
 }
 
 bool ParallelEngine::begin_window() {
-  const Time t = next_event_time();
+  const Time t = *std::min_element(next_.begin(), next_.end());
   if (t == kTimeNever) return false;
   window_start_ = t;
   horizon_ =
@@ -99,7 +92,10 @@ bool ParallelEngine::begin_window() {
 }
 
 void ParallelEngine::execute_domain(std::size_t d) {
-  domains_[d]->run_before(horizon_);
+  // A domain whose earliest event is at or past the horizon has nothing to
+  // do this window; its calendar is not even touched.
+  if (next_[d] >= horizon_) return;
+  next_[d] = domains_[d]->run_before(horizon_);
 }
 
 void ParallelEngine::run_serial() {
@@ -203,6 +199,11 @@ void ParallelEngine::run() {
     bool& flag_;
   };
   const RunningScope scope(running_);
+  // Setup-time schedules and cancels went straight to the calendars, so
+  // the cache is rebuilt from them once per run.
+  for (std::size_t d = 0; d < domains_.size(); ++d) {
+    next_[d] = domains_[d]->next_event_time().value_or(kTimeNever);
+  }
   if (cfg_.threads > 1 && domains_.size() > 1) {
     run_parallel();
   } else {

@@ -15,11 +15,14 @@
 //    is a sound lookahead.  Cross-domain effects travel exclusively
 //    through post(), which enforces `t >= horizon()` while a window is
 //    executing.
-//  * Execution advances in windows [T, T + lookahead): every domain runs
-//    its own events with time < horizon independently (in parallel),
-//    then a barrier flushes the cross-domain outboxes into the target
-//    calendars in a fixed order (source-domain id, send order) and opens
-//    the next window at the new global minimum event time.
+//  * Execution advances in windows [T, T + lookahead): every domain with
+//    an event before the horizon runs its events with time < horizon
+//    independently (in parallel), then a barrier flushes the cross-domain
+//    outboxes into the target calendars in a fixed order (source-domain
+//    id, send order) and opens the next window at the new global minimum
+//    event time.  That minimum comes from a cached per-domain next-event
+//    time, so a window costs O(domains) array reads plus the work of the
+//    domains that actually have events -- idle calendars are not probed.
 //
 // Determinism is inherited from the sweep runner's contract and is
 // non-negotiable: for a fixed (domains, lookahead, workload), every thread
@@ -115,8 +118,6 @@ class ParallelEngine {
     Engine::Callback cb;
   };
 
-  /// Earliest live event time across every calendar; kTimeNever when idle.
-  Time next_event_time();
   /// Move every outbox entry into its target calendar, in (source domain,
   /// send order) order — the deterministic tie-break for same-timestamp
   /// cross-domain arrivals.
@@ -132,6 +133,11 @@ class ParallelEngine {
   std::vector<std::unique_ptr<Engine>> domains_;
   std::vector<std::vector<Pending>> outboxes_;  ///< per source domain
   std::vector<std::exception_ptr> errors_;      ///< per domain, this window
+  /// Per domain: earliest live event time (kTimeNever when empty), valid
+  /// between windows.  Only a domain's own window slice and the barrier
+  /// flush change its calendar during run(), and both update this entry, so
+  /// begin_window() and execute_domain() never probe an idle calendar.
+  std::vector<Time> next_;
   bool running_ = false;
   bool aborted_ = false;
   Time window_start_ = 0;

@@ -1,7 +1,6 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -50,13 +49,7 @@ double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 // ---------------------------------------------------------------------------
 
-Histogram::Histogram()
-    : buckets_(static_cast<std::size_t>(kNegOctaves + kPosOctaves)
-                   << kSubBucketBits,
-               0) {}
-
-std::size_t Histogram::bucket_index(double value) const {
-  constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBucketBits;
+std::size_t Histogram::bucket_index(double value) {
   constexpr double kLowest =
       1.0 / static_cast<double>(std::uint64_t{1} << kNegOctaves);
   constexpr double kHighest =
@@ -66,7 +59,7 @@ std::size_t Histogram::bucket_index(double value) const {
   // bucketing, including the sub-unit range quantiles used to be blind to.
   if (!(value >= kLowest)) return 0;
   // At or beyond 2^kPosOctaves (infinity included): the last bucket.
-  if (value >= kHighest) return buckets_.size() - 1;
+  if (value >= kHighest) return kNumBuckets - 1;
   // value = m * 2^exp with m in [0.5, 1): the octave and the position
   // within it come straight from the binary exponent and mantissa.  Unlike
   // floor(log2(value)), this never rounds the largest double below 2^k up
@@ -81,12 +74,19 @@ std::size_t Histogram::bucket_index(double value) const {
          sub;
 }
 
-double Histogram::bucket_midpoint(std::size_t idx) const {
-  const auto octave = static_cast<int>(idx >> kSubBucketBits) - kNegOctaves;
-  const auto sub = idx & ((1u << kSubBucketBits) - 1);
-  const double base = std::ldexp(1.0, octave);
-  const double width = base / (1u << kSubBucketBits);
-  return base + (static_cast<double>(sub) + 0.5) * width;
+void Histogram::cover(std::size_t first, std::size_t last) {
+  first &= ~(kSubBuckets - 1);
+  const std::size_t end = (last | (kSubBuckets - 1)) + 1;
+  if (buckets_.empty()) {
+    lo_ = first;
+    buckets_.assign(end - first, 0);
+    return;
+  }
+  if (first < lo_) {
+    buckets_.insert(buckets_.begin(), lo_ - first, 0);
+    lo_ = first;
+  }
+  if (end > lo_ + buckets_.size()) buckets_.resize(end - lo_, 0);
 }
 
 void Histogram::add_count(double value, std::uint64_t count) {
@@ -98,13 +98,15 @@ void Histogram::add_count(double value, std::uint64_t count) {
     raw_min_ = std::min(raw_min_, value);
     raw_max_ = std::max(raw_max_, value);
   }
-  buckets_[bucket_index(value)] += count;
+  const std::size_t idx = bucket_index(value);
+  // Unsigned wrap folds "below lo_" into the out-of-range test.
+  if (idx - lo_ >= buckets_.size()) cover(idx, idx);
+  buckets_[idx - lo_] += count;
   total_ += count;
   sum_ += value * static_cast<double>(count);
 }
 
 void Histogram::merge(const Histogram& other) {
-  assert(buckets_.size() == other.buckets_.size());
   // Same empty-operand discipline as OnlineStats::merge: an empty side
   // must neither leak its raw_min_/raw_max_ placeholders (0.0 here, not
   // infinities) nor perturb sum_/total_.
@@ -116,13 +118,18 @@ void Histogram::merge(const Histogram& other) {
     raw_min_ = std::min(raw_min_, other.raw_min_);
     raw_max_ = std::max(raw_max_, other.raw_max_);
   }
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  cover(other.lo_, other.lo_ + other.buckets_.size() - 1);
+  const std::size_t offset = other.lo_ - lo_;
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
+    buckets_[offset + i] += other.buckets_[i];
+  }
   total_ += other.total_;
   sum_ += other.sum_;
 }
 
 void Histogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  lo_ = 0;
+  buckets_.clear();
   total_ = 0;
   sum_ = 0.0;
   raw_min_ = 0.0;
@@ -141,10 +148,11 @@ double Histogram::quantile(double q) const {
   const auto rank = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_))));
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    seen += buckets_[i];
+  for (std::size_t j = 0; j < buckets_.size(); ++j) {
+    if (buckets_[j] == 0) continue;
+    seen += buckets_[j];
     if (seen >= rank) {
+      const std::size_t i = lo_ + j;
       // Interpolate within the bucket instead of returning its midpoint:
       // with log2 buckets a midpoint answer can misreport sparse tail
       // quantiles (p999) by up to the bucket width.  Model the in-bucket
@@ -155,10 +163,10 @@ double Histogram::quantile(double q) const {
       const double base = std::ldexp(1.0, octave);
       const double width = base / (1u << kSubBucketBits);
       const double lower = base + static_cast<double>(sub) * width;
-      const std::uint64_t before = seen - buckets_[i];
+      const std::uint64_t before = seen - buckets_[j];
       const double pos_in_bucket =
           (static_cast<double>(rank - before) - 0.5) /
-          static_cast<double>(buckets_[i]);
+          static_cast<double>(buckets_[j]);
       return std::clamp(lower + pos_in_bucket * width, raw_min_, raw_max_);
     }
   }

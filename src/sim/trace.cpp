@@ -54,10 +54,7 @@ void CsvWriter::write_line(const std::vector<std::string>& cells) {
   }
   line += '\n';
   buffer_ << line;
-  if (to_file_) {
-    file_ << line;
-    file_.flush();
-  }
+  if (to_file_) file_ << line;
 }
 
 std::string CsvWriter::escape(const std::string& cell) {

@@ -14,7 +14,8 @@ namespace tfsim::sim {
 class CsvWriter {
  public:
   /// Opens `path` for writing (truncates).  Throws std::runtime_error on
-  /// failure.
+  /// failure.  Rows go through the stream's buffer, so the file is
+  /// complete once the writer is destroyed.
   explicit CsvWriter(const std::string& path);
   /// In-memory mode (for tests); contents available via str().
   CsvWriter();

@@ -5,9 +5,14 @@
 // across completion, shedding, QoS rejection, and timeout-driven failover.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <string>
+
 #include "core/serving.hpp"
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/pdes.hpp"
 
 namespace tfsim::node {
 namespace {
@@ -83,6 +88,53 @@ TEST(ServingFailoverTest, RunServingRequiresTrafficAndPdes) {
   auto plain = scenario::paper_two_node();
   Cluster no_traffic(plain);
   EXPECT_THROW(core::run_serving(no_traffic), std::invalid_argument);
+}
+
+// Golden values for determinism_check's serving configuration on one PDES
+// worker.  determinism_check only compares serial with 8-worker runs, so a
+// scheduler change that altered both would pass it; these pin the report
+// digest and the barrier-window sequence length to the values the
+// scan-every-domain window loop produced.
+TEST(ServingFailoverTest, GoldenDigestAndWindowCounts) {
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t digest;
+    std::uint64_t windows;
+    std::uint64_t executed;
+  };
+  // The Cluster honors TFSIM_PDES; pin one worker and restore on exit.
+  struct PinnedPdesEnv {
+    PinnedPdesEnv() {
+      const char* env = std::getenv("TFSIM_PDES");
+      had = env != nullptr;
+      if (had) saved = env;
+      setenv("TFSIM_PDES", "1", 1);
+    }
+    PinnedPdesEnv(const PinnedPdesEnv&) = delete;
+    PinnedPdesEnv& operator=(const PinnedPdesEnv&) = delete;
+    ~PinnedPdesEnv() {
+      if (had) {
+        setenv("TFSIM_PDES", saved.c_str(), 1);
+      } else {
+        unsetenv("TFSIM_PDES");
+      }
+    }
+    bool had = false;
+    std::string saved;
+  } const pin;
+  for (const Golden& g : {Golden{1, 0x0a2c4c1ffda382f6ULL, 5437, 21516},
+                          Golden{42, 0x18ef3a37772546abULL, 5428, 22149}}) {
+    SCOPED_TRACE(g.seed);
+    auto spec = compressed_serving();
+    spec.traffic.seed = g.seed;
+    spec.pdes.threads = 1;
+    Cluster cluster(spec);
+    const core::ServingReport rep = core::run_serving(cluster);
+    ASSERT_NE(cluster.pdes(), nullptr);
+    EXPECT_EQ(rep.digest, g.digest);
+    EXPECT_EQ(cluster.pdes()->windows(), g.windows);
+    EXPECT_EQ(cluster.pdes()->executed(), g.executed);
+  }
 }
 
 }  // namespace

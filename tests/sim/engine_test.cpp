@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace tfsim::sim {
@@ -50,6 +51,37 @@ TEST(EngineTest, SchedulingInThePastThrows) {
   e.schedule_at(100, [] {});
   e.run();
   EXPECT_THROW(e.schedule_at(50, [] {}), std::logic_error);
+}
+
+TEST(EngineTest, ScheduleInOverflowThrowsNamingTheOverflow) {
+  Engine e;
+  e.schedule_at(100, [] {});
+  e.run();
+  // now + dt would wrap past kTimeNever (e.g. a zero-bandwidth
+  // serialization delay); the error must say so, not "in the past".
+  try {
+    e.schedule_in(kTimeNever - 50, [] {});
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& err) {
+    EXPECT_NE(std::string(err.what()).find("overflow"), std::string::npos)
+        << err.what();
+  }
+  EXPECT_EQ(e.pending(), 0u);
+  // The largest representable delay still schedules.
+  e.schedule_in(kTimeNever - 100, [] {});
+  EXPECT_EQ(e.pending(), 1u);
+}
+
+TEST(EngineTest, RunBeforeReturnsNextLiveTime) {
+  Engine e;
+  EXPECT_EQ(e.run_before(10), kTimeNever);
+  Engine::EventId stale = e.schedule_at(20, [] {});
+  e.schedule_at(5, [] {});
+  e.schedule_at(30, [] {});
+  e.cancel(stale);
+  EXPECT_EQ(e.run_before(10), 30u) << "cancelled head is skipped";
+  EXPECT_EQ(e.executed(), 1u);
+  EXPECT_EQ(e.run_before(31), kTimeNever);
 }
 
 TEST(EngineTest, CancelPreventsExecution) {
