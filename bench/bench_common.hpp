@@ -135,6 +135,21 @@ inline scenario::ScenarioSpec load_scenario(const std::string& name_or_path) {
   std::exit(2);
 }
 
+/// TFSIM_SERVING_US compression for serving_slo: the whole experiment
+/// shrinks to `horizon_us` but keeps its shape -- one diurnal cycle over the
+/// horizon, any lender kill at the half-way peak, and at least four SLO
+/// windows across the run.
+inline void compress_serving(scenario::ScenarioSpec& spec, double horizon_us) {
+  spec.traffic.duration_us = horizon_us;
+  spec.traffic.diurnal_period_us = horizon_us;
+  if (!spec.faults.kill_lender.empty()) {
+    spec.faults.kill_at_us = horizon_us / 2.0;
+  }
+  if (spec.slo.window_us > horizon_us / 4.0) {
+    spec.slo.window_us = horizon_us / 4.0;
+  }
+}
+
 /// Pick a sweep axis with the standard precedence: command-line override >
 /// the scenario's pinned axis > the bench's built-in default.
 template <typename T>

@@ -23,11 +23,8 @@
 // timeout-only baseline -- that delta is the entire point of online
 // failure detection.
 //
-// The digest is the determinism contract: chaos is resolved into read-only
-// windows at assembly and every detector/probe decision is per-source
-// local state, so a serial run must be byte-identical to a TFSIM_PDES=8
-// run; when the environment asks for >1 worker the bench re-runs serially
-// in-process and aborts on divergence.
+// Each mode's digest covers every observable of its report; the golden
+// digest table (tests/golden/digests.txt) pins both for the CI smoke.
 //
 // Sizing: TFSIM_SERVING_US compresses the horizon, scaling the chaos
 // timeline, the SLO windows, and any lender kill proportionally so the
@@ -36,7 +33,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -47,15 +43,13 @@
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/config.hpp"
-#include "sim/pdes.hpp"
 #include "sim/units.hpp"
 
 using namespace tfsim;
 
 namespace {
 
-core::ServingReport run_once(scenario::ScenarioSpec spec, unsigned threads) {
-  spec.pdes.threads = threads;
+core::ServingReport run_once(const scenario::ScenarioSpec& spec) {
   node::Cluster cluster(spec);
   return core::run_serving(cluster);
 }
@@ -100,7 +94,7 @@ EventScore score_event(const scenario::ChaosWindow& ev,
 }
 
 void write_bench_json(const std::string& path,
-                      const scenario::ScenarioSpec& spec, unsigned threads,
+                      const scenario::ScenarioSpec& spec,
                       const core::ServingReport& on,
                       const core::ServingReport& off,
                       const std::vector<EventScore>& on_scores,
@@ -108,7 +102,8 @@ void write_bench_json(const std::string& path,
   std::ofstream out(path);
   out << "{\n  \"context\": {\"bench\": \"chaos_mttr\", \"scenario\": \""
       << spec.name << "\", \"duration_us\": " << spec.traffic.duration_us
-      << ", \"pdes_threads\": " << threads << ", \"digest_detector\": \""
+      << ", \"pdes_threads\": " << spec.pdes.threads
+      << ", \"digest_detector\": \""
       << on.digest << "\", \"digest_baseline\": \"" << off.digest
       << "\"},\n  \"benchmarks\": [\n";
   const auto totals = [&out](const char* mode, const core::ServingReport& r) {
@@ -191,16 +186,6 @@ int main(int argc, char** argv) {
   const double window_us = spec.slo.window_us;
   const double horizon_us = spec.traffic.duration_us;
 
-  // Resolve the worker count once, then pin it on the spec: the Cluster
-  // itself honors $TFSIM_PDES, which would defeat the serial re-run below.
-  unsigned threads = spec.pdes.threads;
-  if (const char* env = std::getenv("TFSIM_PDES");
-      env != nullptr && *env != '\0') {
-    threads = sim::PdesConfig::threads_from_env();
-  }
-  if (threads == 0) threads = 1;
-  unsetenv("TFSIM_PDES");
-
   // The detector path is whatever the scenario declares (chaos_rack ships
   // with detector.enabled = true); the baseline is the same spec with the
   // detector off -- timeout-driven failover only.
@@ -209,35 +194,8 @@ int main(int argc, char** argv) {
   scenario::ScenarioSpec off_spec = spec;
   off_spec.detector.enabled = false;
 
-  const core::ServingReport on = run_once(on_spec, threads);
-  const core::ServingReport off = run_once(off_spec, threads);
-
-  if (threads > 1) {
-    // The determinism contract, checked in-process for both modes: the
-    // serial reference must reproduce every observable byte-for-byte.
-    const core::ServingReport on_serial = run_once(on_spec, 1);
-    if (on_serial.serialized != on.serialized) {
-      std::fprintf(stderr,
-                   "chaos_mttr: detector PDES digest mismatch (serial %llu "
-                   "vs %u-thread %llu)\n",
-                   static_cast<unsigned long long>(on_serial.digest), threads,
-                   static_cast<unsigned long long>(on.digest));
-      return 1;
-    }
-    const core::ServingReport off_serial = run_once(off_spec, 1);
-    if (off_serial.serialized != off.serialized) {
-      std::fprintf(stderr,
-                   "chaos_mttr: baseline PDES digest mismatch (serial %llu "
-                   "vs %u-thread %llu)\n",
-                   static_cast<unsigned long long>(off_serial.digest), threads,
-                   static_cast<unsigned long long>(off.digest));
-      return 1;
-    }
-    std::printf("determinism: serial == %u-thread (detector %llu, baseline "
-                "%llu)\n",
-                threads, static_cast<unsigned long long>(on.digest),
-                static_cast<unsigned long long>(off.digest));
-  }
+  const core::ServingReport on = run_once(on_spec);
+  const core::ServingReport off = run_once(off_spec);
 
   // Score every non-recover event in both modes against the same resolved
   // timeline (recover events only close windows; they are not scored).
@@ -339,8 +297,8 @@ int main(int argc, char** argv) {
       "the windowed p99 degradation stays bounded instead of riding out the "
       "full timeout cascade.");
 
-  write_bench_json(bench::csv_path("BENCH_chaos.json"), spec, threads, on,
-                   off, on_scores, off_scores);
+  write_bench_json(bench::csv_path("BENCH_chaos.json"), spec, on, off,
+                   on_scores, off_scores);
   bench::echo_scenario(spec, "chaos_mttr.csv");
   return 0;
 }

@@ -12,292 +12,45 @@
 // Reported per point: completed round trips, RTT mean/p50/p99, the hottest
 // switch egress queue (peak and mean occupancy at admission -- where the
 // cliff forms is visible as which port saturates), tail drops, and an
-// FNV-1a digest of every per-host and per-port counter.  The digest is the
-// determinism contract: frames are forwarded hop by hop with post_routed,
-// so a serial run and a TFSIM_PDES=8 barrier-window run must agree
-// byte-for-byte.  When $TFSIM_PDES asks for >1 worker, every point is
-// re-run serially and the two digests are compared in-process -- a
-// mismatch aborts the bench.
+// FNV-1a digest of every per-host and per-port counter.  Frames are
+// forwarded hop by hop with post_routed on per-node calendars; the golden
+// digest table (tests/golden/digests.txt) pins the CI smoke points.
 //
 // Sizing: TFSIM_FABRIC_US (default 200) bounds the measured window so the
 // CI smoke run stays cheap; the borrower axis comes from the scenario's
 // sweep.borrowers ({16..256} in leafspine_rack128) or --borrowers.
 // Results land in fabric_contention.csv plus BENCH_fabric.json (the CI
 // artifact), alongside the resolved scenario echo.
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <functional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "capi/frame.hpp"
 #include "core/report.hpp"
-#include "mem/address.hpp"
-#include "net/network.hpp"
-#include "net/packet.hpp"
-#include "net/switch.hpp"
-#include "net/topology.hpp"
+#include "fabric_point.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/config.hpp"
-#include "sim/pdes.hpp"
 #include "sim/units.hpp"
 
 using namespace tfsim;
+using bench::PointResult;
 
 namespace {
 
-// Same wire sizes the NIC puts on the fabric for a cache-line read: a
-// command-only request, a response carrying the line.
-constexpr std::uint64_t kReqBytes = net::kPacketHeaderBytes + capi::kFrameBytes;
-constexpr std::uint64_t kRespBytes =
-    net::kPacketHeaderBytes + capi::kFrameBytes + mem::kCacheLineBytes;
-constexpr int kChainsPerBorrower = 8;
-
 const std::vector<std::uint32_t> kDefaultBorrowers = {16, 32, 64, 128, 256};
 
-/// FNV-1a over the result string, so any per-host or per-port divergence
-/// between thread counts flips the reported digest.
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// One measured fabric (leaf/spine point or dumbbell reference).
-struct PointResult {
-  std::uint64_t completed = 0;     ///< round trips finished in the window
-  std::uint64_t chains_lost = 0;   ///< chains ended by a tail drop
-  double rtt_mean_us = 0.0;
-  double rtt_p50_us = 0.0;
-  double rtt_p99_us = 0.0;
-  std::uint64_t peak_queue_bytes = 0;  ///< hottest egress port, peak
-  double mean_queue_bytes = 0.0;       ///< hottest egress port, mean
-  std::uint64_t switch_drops = 0;
-  std::uint64_t digest = 0;
-};
-
-struct FabricUnderTest {
-  net::Network net;
-  std::vector<net::NodeId> partner;   ///< borrower id -> lender id
-  std::vector<net::NodeId> switches;  ///< ids, for the domain count
-};
-
-/// Hosts 0..B-1 are borrowers, B..2B-1 lenders, matched cross-leaf: a
-/// deterministic greedy scan pairs each borrower with the first unused
-/// lender on a different leaf, so every chain crosses the spine tier.
-void build_leafspine(FabricUnderTest& f, const scenario::TopologySpec& topo,
-                     std::uint32_t borrowers) {
-  std::vector<net::NodeId> hosts;
-  for (std::uint32_t i = 0; i < 2 * borrowers; ++i) {
-    std::string name = i < borrowers ? "b" : "l";
-    name += std::to_string(i % borrowers);
-    hosts.push_back(f.net.add_node(name));
-  }
-  net::LeafSpineConfig cfg;
-  cfg.leaves = topo.leaves;
-  cfg.spines = topo.spines;
-  cfg.edge = topo.link;
-  cfg.uplink = topo.uplink;
-  cfg.sw = topo.sw;
-  const auto rack = net::LeafSpineFabric::build(f.net, cfg, hosts);
-  f.switches.insert(f.switches.end(), rack.leaves.begin(), rack.leaves.end());
-  f.switches.insert(f.switches.end(), rack.spines.begin(), rack.spines.end());
-
-  f.partner.assign(borrowers, 0);
-  std::vector<bool> used(borrowers, false);
-  for (std::uint32_t i = 0; i < borrowers; ++i) {
-    std::uint32_t pick = borrowers;  // fallback: first unused, any leaf
-    for (std::uint32_t k = 0; k < borrowers; ++k) {
-      const std::uint32_t j = (i + 1 + k) % borrowers;
-      if (used[j]) continue;
-      if (pick == borrowers) pick = j;
-      if (rack.leaf_of(borrowers + j) != rack.leaf_of(i)) {
-        pick = j;
-        break;
-      }
-    }
-    used[pick] = true;
-    f.partner[i] = static_cast<net::NodeId>(borrowers + pick);
-  }
-}
-
-/// The dumbbell reference: borrowers -- switchA == trunk == switchB --
-/// lenders, with the trunk at the *same per-link capacity* as one spine
-/// uplink, so the comparison isolates the striping (1 shared hop vs
-/// leaves x spines parallel uplinks).
-void build_dumbbell(FabricUnderTest& f, const scenario::TopologySpec& topo,
-                    std::uint32_t borrowers) {
-  for (std::uint32_t i = 0; i < 2 * borrowers; ++i) {
-    std::string name = i < borrowers ? "b" : "l";
-    name += std::to_string(i % borrowers);
-    f.net.add_node(name);
-  }
-  const net::NodeId sa = f.net.add_switch("switch-a", topo.sw);
-  const net::NodeId sb = f.net.add_switch("switch-b", topo.sw);
-  f.switches = {sa, sb};
-  for (std::uint32_t i = 0; i < borrowers; ++i) {
-    f.net.connect(i, sa, topo.link);
-    f.net.connect(sa, i, topo.link);
-    f.net.connect(borrowers + i, sb, topo.link);
-    f.net.connect(sb, borrowers + i, topo.link);
-  }
-  f.net.connect(sa, sb, topo.uplink);
-  f.net.connect(sb, sa, topo.uplink);
-  f.net.build_routes();
-  f.partner.assign(borrowers, 0);
-  for (std::uint32_t i = 0; i < borrowers; ++i) {
-    f.partner[i] = static_cast<net::NodeId>(borrowers + i);
-  }
-}
-
-/// Drive kChainsPerBorrower closed-loop request/response chains per
-/// borrower for `window` sim time and fold every observable into the
-/// result.  All traffic is post_routed, so the run is valid (and
-/// byte-identical) for any PDES worker count.
-PointResult run_traffic(FabricUnderTest& f, std::uint32_t borrowers,
-                        sim::Time window, unsigned threads) {
-  sim::PdesConfig cfg;
-  cfg.threads = threads;
-  cfg.lookahead = f.net.min_propagation();
-  sim::ParallelEngine pdes(2 * borrowers + f.switches.size(), cfg);
-
-  // Per-borrower state, only ever touched from the owning domain.
-  std::vector<std::vector<std::uint64_t>> rtts(borrowers);
-  const sim::Time stop = window;
-
-  std::function<void(net::NodeId, std::uint64_t)> issue =
-      [&](net::NodeId b, std::uint64_t flow) {
-        sim::Engine& self = pdes.domain(static_cast<sim::DomainId>(b));
-        if (self.now() >= stop) return;
-        const net::NodeId lender = f.partner[b];
-        const sim::Time t0 = self.now();
-        // A tail-dropped frame ends the chain: on_arrival never fires and
-        // the borrower's window closes with one fewer live chain.  The NIC
-        // layer retries; this bench measures the raw fabric, so a loss is
-        // simply recorded (chains_lost) at drain time via the rtt count.
-        f.net.post_routed(
-            pdes, t0, b, lender, kReqBytes, sim::Priority::kLatency, flow,
-            [&, b, lender, flow, t0](const net::Delivery&) {
-              sim::Engine& at_lender =
-                  pdes.domain(static_cast<sim::DomainId>(lender));
-              f.net.post_routed(
-                  pdes, at_lender.now(), lender, b, kRespBytes,
-                  sim::Priority::kBulk, flow,
-                  [&, b, flow, t0](const net::Delivery& resp) {
-                    rtts[b].push_back(resp.arrival - t0);
-                    issue(b, flow);
-                  });
-            });
-      };
-
-  for (std::uint32_t b = 0; b < borrowers; ++b) {
-    for (int c = 0; c < kChainsPerBorrower; ++c) {
-      // Stagger starts inside the first lookahead window; the offsets are a
-      // pure function of (b, c), so the schedule is seed-free determinism.
-      const sim::Time start =
-          1 + (static_cast<sim::Time>(b) * 131 + static_cast<sim::Time>(c)) %
-                  cfg.lookahead;
-      const auto flow = static_cast<std::uint64_t>(b) * kChainsPerBorrower +
-                        static_cast<std::uint64_t>(c);
-      pdes.post(static_cast<sim::DomainId>(b), static_cast<sim::DomainId>(b),
-                start, [&issue, b, flow] {
-                  issue(static_cast<net::NodeId>(b), flow);
-                });
-    }
-  }
-  pdes.run();
-
-  // Serialize every observable in fixed (host, then switch/port) order --
-  // the digest input and the source of all reported statistics.
-  std::ostringstream os;
-  PointResult r;
-  std::vector<std::uint64_t> all;
-  for (std::uint32_t b = 0; b < borrowers; ++b) {
-    os << b << ":" << rtts[b].size() << ";";
-    r.completed += rtts[b].size();
-    all.insert(all.end(), rtts[b].begin(), rtts[b].end());
-    for (const std::uint64_t v : rtts[b]) os << v << ",";
-  }
-  for (const net::NodeId sw : f.switches) {
-    const net::Switch& s = f.net.switch_at(sw);
-    os << "S" << sw << "=" << s.total_drops();
-    r.switch_drops += s.total_drops();
-    for (const auto& [egress, port] : s.ports()) {
-      os << ",p" << egress << ":" << port.frames << ":" << port.bytes << ":"
-         << port.drops << ":" << port.peak_queued_bytes;
-      if (port.peak_queued_bytes >= r.peak_queue_bytes) {
-        r.peak_queue_bytes = port.peak_queued_bytes;
-        r.mean_queue_bytes = port.mean_queued_bytes();
-      }
-    }
-    os << ";";
-  }
-  r.digest = fnv1a(os.str());
-
-  std::sort(all.begin(), all.end());
-  if (!all.empty()) {
-    double sum = 0.0;
-    for (const std::uint64_t v : all) sum += static_cast<double>(v);
-    r.rtt_mean_us = sim::to_us(static_cast<sim::Time>(sum / all.size()));
-    r.rtt_p50_us = sim::to_us(all[all.size() / 2]);
-    r.rtt_p99_us = sim::to_us(all[all.size() - 1 - all.size() / 100]);
-  }
-  // Every frame belongs to exactly one closed-loop chain and a dropped
-  // frame ends that chain for good, so the drop count is the chain count.
-  r.chains_lost = r.switch_drops;
-  return r;
-}
-
-PointResult run_point(const scenario::TopologySpec& topo,
-                      scenario::TopologyKind kind, std::uint32_t borrowers,
-                      sim::Time window, unsigned threads) {
-  FabricUnderTest f;
-  if (kind == scenario::TopologyKind::kLeafSpine) {
-    build_leafspine(f, topo, borrowers);
-  } else {
-    build_dumbbell(f, topo, borrowers);
-  }
-  PointResult r = run_traffic(f, borrowers, window, threads);
-  if (threads > 1) {
-    // The determinism contract, checked in-process: the serial reference
-    // must produce the identical digest for this point.
-    FabricUnderTest g;
-    if (kind == scenario::TopologyKind::kLeafSpine) {
-      build_leafspine(g, topo, borrowers);
-    } else {
-      build_dumbbell(g, topo, borrowers);
-    }
-    const PointResult serial = run_traffic(g, borrowers, window, 1);
-    if (serial.digest != r.digest) {
-      std::fprintf(stderr,
-                   "fabric_contention: PDES digest mismatch at B=%u "
-                   "(serial %llu vs %u-thread %llu)\n",
-                   borrowers, static_cast<unsigned long long>(serial.digest),
-                   threads, static_cast<unsigned long long>(r.digest));
-      std::exit(1);
-    }
-  }
-  return r;
-}
-
 void write_bench_json(const std::string& path, const std::string& scenario,
-                      double window_us, unsigned threads,
+                      double window_us,
                       const std::vector<std::uint32_t>& axis,
                       const std::vector<std::pair<PointResult, PointResult>>&
                           rows) {
   std::ofstream out(path);
   out << "{\n  \"context\": {\"bench\": \"fabric_contention\", \"scenario\": \""
       << scenario << "\", \"window_us\": " << window_us
-      << ", \"pdes_threads\": " << threads << "},\n  \"benchmarks\": [\n";
+      << ", \"pdes_threads\": 1},\n  \"benchmarks\": [\n";
   const auto emit = [&out](const char* fabric, std::uint32_t b,
                            const PointResult& r, bool last) {
     out << "    {\"name\": \"fabric/" << fabric << "/B=" << b
@@ -342,15 +95,14 @@ int main(int argc, char** argv) {
   const double window_us =
       static_cast<double>(bench::env_u64("TFSIM_FABRIC_US", 200));
   const sim::Time window = sim::from_us(window_us);
-  const unsigned threads = sim::PdesConfig::threads_from_env();
 
   const auto rows = bench::run_sweep(
       "fabric_contention", axis, [&](std::uint32_t b) {
         return std::make_pair(
-            run_point(spec.topology, scenario::TopologyKind::kLeafSpine, b,
-                      window, threads),
-            run_point(spec.topology, scenario::TopologyKind::kDumbbell, b,
-                      window, threads));
+            bench::run_point(spec.topology,
+                             scenario::TopologyKind::kLeafSpine, b, window),
+            bench::run_point(spec.topology,
+                             scenario::TopologyKind::kDumbbell, b, window));
       });
 
   core::Table table(
@@ -382,7 +134,7 @@ int main(int argc, char** argv) {
       "cliff out by ~the oversubscription ratio.");
 
   write_bench_json(bench::csv_path("BENCH_fabric.json"), spec.name, window_us,
-                   threads, axis, rows);
+                   axis, rows);
   spec.sweep.borrowers = axis;
   bench::echo_scenario(spec, "fabric_contention.csv");
   return 0;

@@ -15,12 +15,8 @@
 // kill: requests in flight to the dead lender time out and fail over, but
 // the windowed tail recovers within a few windows instead of diverging.
 //
-// The digest is the determinism contract: all traffic moves hop-by-hop via
-// Network::post_routed and every mutable byte is domain-owned, so a serial
-// run must be byte-identical to a TFSIM_PDES=8 run.  When the environment
-// asks for >1 worker the bench re-runs the scenario serially in-process
-// and aborts on any divergence -- the CI serving-smoke job *is* the
-// serial-vs-parallel gate for the serving layer.
+// The digest covers every observable of the report; the golden digest
+// table (tests/golden/digests.txt) pins it for the CI smoke horizon.
 //
 // Sizing: TFSIM_SERVING_US overrides the arrival horizon (and compresses
 // the diurnal period + kill time with it) so the CI smoke stays cheap.
@@ -28,7 +24,6 @@
 // artifact), alongside the resolved scenario echo.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -38,26 +33,20 @@
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/config.hpp"
-#include "sim/pdes.hpp"
 #include "sim/units.hpp"
 
 using namespace tfsim;
 
 namespace {
 
-core::ServingReport run_once(scenario::ScenarioSpec spec, unsigned threads) {
-  spec.pdes.threads = threads;
-  node::Cluster cluster(spec);
-  return core::run_serving(cluster);
-}
-
 void write_bench_json(const std::string& path,
-                      const scenario::ScenarioSpec& spec, unsigned threads,
+                      const scenario::ScenarioSpec& spec,
                       const core::ServingReport& r) {
   std::ofstream out(path);
   out << "{\n  \"context\": {\"bench\": \"serving_slo\", \"scenario\": \""
       << spec.name << "\", \"duration_us\": " << spec.traffic.duration_us
-      << ", \"pdes_threads\": " << threads << ", \"digest\": \"" << r.digest
+      << ", \"pdes_threads\": " << spec.pdes.threads << ", \"digest\": \""
+      << r.digest
       << "\"},\n  \"benchmarks\": [\n";
   out << "    {\"name\": \"serving/totals\", \"offered\": " << r.totals.offered
       << ", \"completed\": " << r.totals.completed
@@ -111,49 +100,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // TFSIM_SERVING_US compresses the whole experiment, keeping its shape:
-  // one diurnal cycle over the horizon, the kill at the half-way peak, and
-  // at least four SLO windows across the run.
   if (const std::uint64_t us = bench::env_u64("TFSIM_SERVING_US", 0);
       us > 0) {
-    const auto horizon = static_cast<double>(us);
-    spec.traffic.duration_us = horizon;
-    spec.traffic.diurnal_period_us = horizon;
-    if (!spec.faults.kill_lender.empty()) {
-      spec.faults.kill_at_us = horizon / 2.0;
-    }
-    if (spec.slo.window_us > horizon / 4.0) {
-      spec.slo.window_us = horizon / 4.0;
-    }
+    bench::compress_serving(spec, static_cast<double>(us));
   }
 
-  // Resolve the worker count once, then pin it on the spec: the Cluster
-  // itself honors $TFSIM_PDES, which would defeat the serial re-run below.
-  unsigned threads = spec.pdes.threads;
-  if (const char* env = std::getenv("TFSIM_PDES");
-      env != nullptr && *env != '\0') {
-    threads = sim::PdesConfig::threads_from_env();
-  }
-  if (threads == 0) threads = 1;  // run_serving needs the per-node calendars
-  unsetenv("TFSIM_PDES");
-
-  const core::ServingReport r = run_once(spec, threads);
-
-  if (threads > 1) {
-    // The determinism contract, checked in-process: the serial reference
-    // must reproduce every observable byte-for-byte.
-    const core::ServingReport serial = run_once(spec, 1);
-    if (serial.serialized != r.serialized) {
-      std::fprintf(stderr,
-                   "serving_slo: PDES digest mismatch (serial %llu vs "
-                   "%u-thread %llu)\n",
-                   static_cast<unsigned long long>(serial.digest), threads,
-                   static_cast<unsigned long long>(r.digest));
-      return 1;
-    }
-    std::printf("determinism: serial == %u-thread (digest %llu)\n", threads,
-                static_cast<unsigned long long>(r.digest));
-  }
+  node::Cluster cluster(spec);
+  const core::ServingReport r = core::run_serving(cluster);
 
   core::Table table(
       "Serving SLO: " + spec.name + " (" +
@@ -210,7 +163,7 @@ int main(int argc, char** argv) {
       "onto the surviving lender; the QoS gate holds the weight ratio and "
       "windowed p99 recovers within a few windows instead of diverging.");
 
-  write_bench_json(bench::csv_path("BENCH_serving.json"), spec, threads, r);
+  write_bench_json(bench::csv_path("BENCH_serving.json"), spec, r);
   bench::echo_scenario(spec, "serving_slo.csv");
   return 0;
 }

@@ -116,7 +116,7 @@ ServingReport run_serving(node::Cluster& cluster) {
   if (pdes == nullptr) {
     throw std::invalid_argument(
         "run_serving: the routed dispatcher needs per-node calendars; set "
-        "pdes.threads >= 1 (1 = serial baseline)");
+        "pdes.threads = 1");
   }
   if (cluster.num_lenders() == 0) {
     throw std::invalid_argument("run_serving: no lender nodes");
@@ -420,7 +420,12 @@ ServingReport run_serving(node::Cluster& cluster) {
             if (good && ++src.good_probes >= spec.detector.rejoin_confirm) {
               // Rejoin the recovered primary; the stand-in lender returns
               // to the head of the failover chain.
-              src.failover.insert(src.failover.begin(), src.target);
+              // (Grow, shift, then write the head: gcc 12 flags the
+              // equivalent insert(begin()) as a null dereference at -O2.)
+              src.failover.resize(src.failover.size() + 1);
+              std::copy_backward(src.failover.begin(),
+                                 src.failover.end() - 1, src.failover.end());
+              src.failover.front() = src.target;
               src.target = src.abandoned_primary;
               src.abandoned_primary = SourceState::kNoLender;
               ++src.epoch;

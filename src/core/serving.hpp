@@ -8,8 +8,8 @@
 // same way.  All mutable state is domain-owned: borrower-side source and
 // tracker state is touched only by borrower-domain events, lender-side
 // queue/credit state only by lender-domain events — which is what makes the
-// whole run byte-identical from 1 to N worker threads (determinism_check
-// scenario 10).
+// whole run a pure function of the spec (the golden digest table pins it;
+// determinism_check scenario 10 runs it twice).
 //
 // Control-plane decisions (admission, placement, failover chains) are made
 // up front by ctrl::ServingController; mid-run lender death is handled
@@ -26,7 +26,7 @@
 // healthy baseline.  Every probe_interval-th dispatch afterwards probes the
 // abandoned primary; rejoin_confirm consecutive probes completing within
 // threshold x baseline rejoin it.  All of this is per-source local state,
-// so the chaos reactions are byte-identical from 1 to N workers.
+// so the chaos reactions never depend on the order domains run in.
 #pragma once
 
 #include <cstdint>
@@ -72,8 +72,8 @@ struct ServingReport {
 
 /// Run the cluster's traffic block to completion and score it.  Throws
 /// std::invalid_argument when the spec has no traffic block or the cluster
-/// was assembled without PDES domains (the routed dispatcher needs the
-/// per-node calendars; pdes.threads = 1 gives the serial baseline).
+/// was assembled without per-node calendars (the routed dispatcher needs
+/// them; set pdes.threads = 1).
 ServingReport run_serving(node::Cluster& cluster);
 
 /// FNV-1a 64-bit (shared by the serving bench and determinism_check).

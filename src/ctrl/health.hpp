@@ -14,8 +14,8 @@
 // Determinism contract (simlint R1/R4): the detector is pure state fed by
 // the observation sequence -- no wall clock, no RNG, no floating point that
 // depends on call interleaving.  Each source owns one detector per target
-// inside its own PDES domain, so serial and N-worker runs see byte-identical
-// verdict sequences.
+// inside its own calendar domain, so its verdict sequence depends on that
+// source's observations alone.
 //
 // Score model:
 //   latency_score = ewma_latency / baseline   (baseline frozen after warmup)

@@ -2,14 +2,14 @@
 // headroom, SLO-aware placement plans, and reactive re-placement when a
 // lender dies mid-run.
 //
-// The data plane under PDES cannot mutate shared control-plane state from a
-// borrower's domain (that would race across worker threads), so placement
-// decisions are made *up front*: admit_tenant() returns a Placement with a
-// primary lender plus an ordered failover chain computed by the same
-// allocation policy.  When the fault layer kills a lender, each source
-// fails over along its precomputed chain using only domain-local state —
-// deterministic under any worker count — while the registry bookkeeping is
-// reconciled by the (serial) control plane via ControlPlane::migrate or
+// The data plane on per-node calendars cannot mutate shared control-plane
+// state from a borrower's domain (that would break domain ownership), so
+// placement decisions are made *up front*: admit_tenant() returns a
+// Placement with a primary lender plus an ordered failover chain computed
+// by the same allocation policy.  When the fault layer kills a lender, each
+// source fails over along its precomputed chain using only domain-local
+// state, while the registry bookkeeping is reconciled by the (serial)
+// control plane via ControlPlane::migrate or
 // ServingController::record_failover.
 #pragma once
 

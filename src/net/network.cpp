@@ -225,23 +225,6 @@ sim::Time Network::min_propagation() const {
   return min;
 }
 
-Delivery Network::post_delivery(sim::ParallelEngine& pdes,
-                                sim::DomainId src_domain,
-                                sim::DomainId dst_domain, sim::Time now,
-                                NodeId src, NodeId dst,
-                                std::uint64_t wire_bytes, sim::Priority prio,
-                                std::function<void(const Delivery&)> on_arrival) {
-  const Delivery d = deliver_ex(now, src, dst, wire_bytes, prio);
-  if (d.outcome == FaultOutcome::kLost ||
-      d.outcome == FaultOutcome::kFlapDropped ||
-      d.outcome == FaultOutcome::kSwitchDropped) {
-    return d;  // the frame is gone; the destination domain never hears of it
-  }
-  pdes.post(src_domain, dst_domain, d.arrival,
-            [cb = std::move(on_arrival), d] { cb(d); });
-  return d;
-}
-
 void Network::post_routed(sim::ParallelEngine& pdes, sim::Time now, NodeId src,
                           NodeId dst, std::uint64_t wire_bytes,
                           sim::Priority prio, std::uint64_t flow_salt,

@@ -112,30 +112,11 @@ class Network {
   /// cannot influence another domain before t + min_propagation.
   sim::Time min_propagation() const;
 
-  /// Cross-domain delivery for PDES runs: computes the same analytic
-  /// traversal as deliver_ex on the calling (source-domain) thread, then
-  /// posts `on_arrival` into `dst_domain`'s calendar at the arrival time.
-  /// Lost and flap-dropped frames post nothing -- the sender only learns
-  /// via its own timer, exactly as with deliver_ex.  Returns the Delivery
-  /// so the sender can arm that timer.
-  ///
-  /// Soundness: arrival >= now + min_propagation(), so with the engine
-  /// lookahead <= min_propagation() the post always clears the horizon.
-  /// The caller must partition link ownership: every link on the src->dst
-  /// route may only be transmitted on from `src_domain`'s events (true for
-  /// per-node egress links; shared switches/trunks need post_routed, which
-  /// forwards hop by hop in each owner's domain).
-  Delivery post_delivery(sim::ParallelEngine& pdes, sim::DomainId src_domain,
-                         sim::DomainId dst_domain, sim::Time now, NodeId src,
-                         NodeId dst, std::uint64_t wire_bytes,
-                         sim::Priority prio,
-                         std::function<void(const Delivery&)> on_arrival);
-
-  /// Hop-by-hop PDES forwarding over the routing table for fabrics with
-  /// *shared* switches: each hop's transmit executes in the owning node's
-  /// domain (the first hop inline in the caller's, every later hop via a
-  /// cross-domain post at the frame's arrival time), so parallel domains
-  /// never race on a shared egress link.  Requires the identity partition
+  /// Hop-by-hop delivery over the routing table on per-node calendars: each
+  /// hop's transmit executes in the domain that owns its egress link (the
+  /// first hop inline in the caller's, every later hop via a cross-domain
+  /// post at the frame's arrival time), so a shared switch port is only
+  /// ever touched from its own domain.  Requires the identity partition
   /// the Cluster assembles: DomainId d is network node d's calendar,
   /// switches included.  `on_arrival` runs in dst's domain only if the
   /// frame survives every hop (loss, flap, or switch tail-drop ends the

@@ -1,7 +1,6 @@
 #include "node/cluster.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -59,30 +58,14 @@ Cluster::Cluster(const scenario::ScenarioSpec& spec) : spec_(spec) {
 }
 
 void Cluster::resolve_pdes() {
-  // TFSIM_PDES overrides the scenario whenever it is set at all: "off"/junk
-  // force the classic serial engine, N forces N workers (0 = per-core).
-  unsigned threads = spec_.pdes.threads;
-  if (const char* env = std::getenv("TFSIM_PDES");
-      env != nullptr && *env != '\0') {
-    threads = sim::PdesConfig::threads_from_env();
-  }
-  if (threads == 0) return;
+  if (spec_.pdes.threads == 0) return;
   sim::PdesConfig cfg;
-  cfg.threads = threads;
+  cfg.threads = spec_.pdes.threads;
   // Switches are domains too: hosts take [0, N), fabric switches take the
   // ids after them, matching the order build_topology registers network
   // nodes (so DomainId == network NodeId everywhere).
   pdes_ = std::make_unique<sim::ParallelEngine>(
       spec_.expanded_node_count() + spec_.topology.switch_count(), cfg);
-  if (threads > 1 && domains_.mode() != sim::DomainCheckMode::kOff) {
-    // The DomainGuard stack is intentionally not thread-safe (one stack per
-    // checker); with parallel workers the ownership audit instead comes
-    // from serial runs of the same scenario plus simlint's static rules.
-    TFSIM_LOG(Info) << "cluster: PDES with " << threads
-                    << " workers disables the runtime domain checker "
-                       "(audit ownership with a serial run)";
-    domains_.set_mode(sim::DomainCheckMode::kOff);
-  }
 }
 
 void Cluster::build_nodes() {

@@ -36,8 +36,8 @@ class Cluster {
   /// and drives cross-cutting activity (flows, benches, MemContext sync);
   /// each node's *own* events live on its domain calendar (engine_for).
   sim::Engine& engine() { return engine_; }
-  /// Per-domain calendars when the scenario (or TFSIM_PDES) enables intra-
-  /// run parallelism; nullptr in the classic single-calendar mode.
+  /// Per-node calendars when the scenario sets pdes.threads = 1; nullptr
+  /// in the classic single-calendar mode.
   sim::ParallelEngine* pdes() { return pdes_.get(); }
   const sim::ParallelEngine* pdes() const { return pdes_.get(); }
   /// The calendar node i's events run on: its PDES domain when partitioned,
@@ -102,7 +102,7 @@ class Cluster {
   void apply_faults();
   /// Resolve the scenario's chaos timeline into read-only switch down /
   /// port-brownout windows (written once here, only read per frame after,
-  /// so PDES domains never race on them).  Gray-lender windows stay in the
+  /// so no domain's events ever mutate them).  Gray-lender windows stay in the
   /// spec; core/run_serving applies them at the lender's service queue.
   void apply_chaos();
 

@@ -571,7 +571,7 @@ const Table<SloSpec>& slo_table() {
 const Table<PdesSpec>& pdes_table() {
   using C = PdesSpec;
   static const Table<C> table = {
-      integer<C>("threads", &C::threads),
+      integer<C>("threads", &C::threads, 0, 1),
       sim_time<C>("lookahead_ns", &C::lookahead_ns, kNs),
   };
   return table;
@@ -931,7 +931,7 @@ ScenarioSpec leafspine_rack(std::uint32_t borrowers) {
   spec.workloads.push_back(WorkloadSpec{"flow", "remote"});
   spec.sweep.borrowers = {16, 32, 64, 128, 256};
   spec.sweep.periods = {1};
-  spec.pdes.threads = 8;
+  spec.pdes.threads = 1;
   return spec;
 }
 
@@ -949,7 +949,7 @@ ScenarioSpec serving_diurnal() {
   spec.topology.spines = 4;
   spec.policy = "slo-aware";
   spec.workloads.push_back(WorkloadSpec{"openloop", "remote"});
-  spec.pdes.threads = 8;
+  spec.pdes.threads = 1;
 
   spec.traffic.process = "diurnal";
   spec.traffic.rate_rps = 1.2e6;

@@ -243,14 +243,16 @@ struct SloSpec {
   double window_us = 1000.0;  ///< compliance-scoring window length
 };
 
-/// Intra-run parallelism (sim/pdes.hpp): partition the engine into one
-/// calendar per node and run barrier windows on `threads` workers.  The
-/// TFSIM_PDES env var overrides the scenario at build time ("off" forces
-/// serial, N forces N workers).  Lookahead 0 derives the horizon from the
-/// fabric's minimum link propagation — the only always-sound choice; set
-/// it explicitly only to *shrink* the window below that bound.
+/// Per-node calendars (sim/pdes.hpp).  `threads` is an on/off switch kept
+/// under its historical name: 0 runs the classic single shared calendar, 1
+/// gives every node (and fabric switch) its own calendar, advanced serially
+/// in lookahead windows -- the partition serving and post_routed need.
+/// Values above 1 are rejected at parse time.  Lookahead 0 derives the
+/// horizon from the fabric's minimum link propagation -- the only
+/// always-sound choice; set it explicitly only to *shrink* the window below
+/// that bound.
 struct PdesSpec {
-  std::uint32_t threads = 0;   ///< 0 = classic single-calendar engine
+  std::uint32_t threads = 0;   ///< 0 = one shared calendar, 1 = per node
   double lookahead_ns = 0.0;   ///< 0 = net::Network::min_propagation()
 
   bool enabled() const { return threads > 0; }

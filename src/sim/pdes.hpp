@@ -1,37 +1,34 @@
-// Intra-run parallel discrete-event simulation (PDES): per-domain slab
-// calendars behind a conservative barrier-window facade.
+// Per-domain calendars behind a conservative lookahead-window facade.
 //
-// SweepRunner parallelizes *across* sweep points; ParallelEngine makes one
-// big scenario use all cores.  The design follows the classic conservative
-// (Chandy-Misra style, barrier-window variant) recipe, specialized to this
-// simulator's invariants:
+// One big scenario is partitioned by node into calendars that advance in
+// lockstep windows.  The partition is the ownership model (sim/domain.hpp):
+// it is what the runtime DomainChecker and simlint R1-R5 audit, and what
+// Network::post_routed relies on to forward hop by hop.  The design follows
+// the classic conservative (Chandy-Misra style, barrier-window variant)
+// recipe, specialized to this simulator's invariants:
 //
-//  * One Engine calendar per domain (node partition; sim/domain.hpp
-//    ownership, proven event-dispatch-local by the runtime DomainChecker
-//    and simlint R1-R5).  Events scheduled on a domain's calendar only
-//    mutate that domain's state.
+//  * One Engine calendar per domain (node partition).  Events scheduled on
+//    a domain's calendar only mutate that domain's state.
 //  * Links are the sync boundary: a frame cannot arrive before
 //    `now + prop_delay`, so the minimum propagation delay over the fabric
 //    is a sound lookahead.  Cross-domain effects travel exclusively
 //    through post(), which enforces `t >= horizon()` while a window is
 //    executing.
 //  * Execution advances in windows [T, T + lookahead): every domain with
-//    an event before the horizon runs its events with time < horizon
-//    independently (in parallel), then a barrier flushes the cross-domain
-//    outboxes into the target calendars in a fixed order (source-domain
-//    id, send order) and opens the next window at the new global minimum
-//    event time.  That minimum comes from a cached per-domain next-event
-//    time, so a window costs O(domains) array reads plus the work of the
-//    domains that actually have events -- idle calendars are not probed.
+//    an event before the horizon runs its events with time < horizon, in
+//    domain-id order, then the cross-domain outboxes are flushed into the
+//    target calendars in a fixed order (source-domain id, send order) and
+//    the next window opens at the new global minimum event time.  That
+//    minimum comes from a cached per-domain next-event time, so a window
+//    costs O(domains) array reads plus the work of the domains that
+//    actually have events -- idle calendars are not probed.
 //
-// Determinism is inherited from the sweep runner's contract and is
-// non-negotiable: for a fixed (domains, lookahead, workload), every thread
-// count — including the inline serial fallback — executes byte-identical
-// per-domain event sequences.  Each domain's calendar is a deterministic
-// (time, seq) queue; outbox flushing is deterministic because per-domain
-// execution is; therefore thread scheduling can change wall-clock time
-// only, never results.  determinism_check scenario 8 and
-// tests/property/pdes_property_test.cpp enforce this continuously.
+// Windows run serially on the calling thread: measured on the checked-in
+// rack scenarios, a window holds a handful of events, far too little work
+// to pay for a thread barrier.  Sweeps parallelize across points instead
+// (sim::SweepRunner).  Results are a pure function of (domains, lookahead,
+// workload); the golden digest table (tests/golden/digests.txt) pins the
+// digests, event counts and window counts of the reference runs.
 #pragma once
 
 #include <cstdint>
@@ -45,24 +42,18 @@
 namespace tfsim::sim {
 
 struct PdesConfig {
-  /// Worker threads executing domain windows.  0 or 1 = run every window
-  /// inline on the calling thread (the serial reference the determinism
-  /// digests compare against); N > 1 = a pool of N workers.
+  /// The scenario's pdes.threads switch: 0 or 1, both meaning the windows
+  /// run serially on the calling thread.  Values above 1 are rejected.
   unsigned threads = 0;
   /// Conservative sync horizon; must be > 0 before run().  Derive it from
   /// the fabric (net::Network::min_propagation()) or set it explicitly.
   Time lookahead = 0;
-
-  /// Worker count from $TFSIM_PDES: unset/empty/"off" -> 0 (PDES off),
-  /// 0 -> one worker per hardware thread, N -> N workers.  Junk, negative
-  /// and overflowing values are rejected with a warning (see
-  /// sim::env_thread_count); oversized values clamp to kMaxEnvThreads.
-  static unsigned threads_from_env();
 };
 
 class ParallelEngine {
  public:
   /// `num_domains` fixed at construction; domain ids are [0, num_domains).
+  /// Throws std::invalid_argument when cfg.threads > 1.
   explicit ParallelEngine(std::size_t num_domains, PdesConfig cfg = {});
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
@@ -87,11 +78,11 @@ class ParallelEngine {
   /// schedule directly into the target calendar.
   void post(DomainId src, DomainId dst, Time t, Engine::Callback cb);
 
-  /// Execute barrier windows until every calendar is empty.  May be called
-  /// repeatedly; throws std::logic_error when lookahead <= 0.  If a domain
-  /// callback throws, the run aborts at the window barrier and the first
-  /// failing domain's exception (lowest id) is rethrown; calendar state
-  /// after an aborted run is unspecified.
+  /// Execute windows until every calendar is empty.  May be called
+  /// repeatedly; throws std::logic_error when lookahead <= 0.  A domain
+  /// callback's exception aborts the run and propagates (domains run in id
+  /// order, so the lowest failing id wins); calendar state after an aborted
+  /// run is unspecified.
   void run();
 
   /// True while run() is executing (post() uses this to pick the
@@ -103,7 +94,7 @@ class ParallelEngine {
   /// this time.
   Time horizon() const { return horizon_; }
 
-  /// Barrier windows executed since construction.
+  /// Windows executed since construction.
   std::uint64_t windows() const { return windows_; }
   /// Total events executed across every domain.
   std::uint64_t executed() const;
@@ -126,20 +117,16 @@ class ParallelEngine {
   bool begin_window();
   /// Run domain d's slice of the current window.
   void execute_domain(std::size_t d);
-  void run_serial();
-  void run_parallel();
 
   PdesConfig cfg_;
   std::vector<std::unique_ptr<Engine>> domains_;
   std::vector<std::vector<Pending>> outboxes_;  ///< per source domain
-  std::vector<std::exception_ptr> errors_;      ///< per domain, this window
   /// Per domain: earliest live event time (kTimeNever when empty), valid
-  /// between windows.  Only a domain's own window slice and the barrier
+  /// between windows.  Only a domain's own window slice and the outbox
   /// flush change its calendar during run(), and both update this entry, so
   /// begin_window() and execute_domain() never probe an idle calendar.
   std::vector<Time> next_;
   bool running_ = false;
-  bool aborted_ = false;
   Time window_start_ = 0;
   Time horizon_ = 0;
   std::uint64_t windows_ = 0;

@@ -36,7 +36,7 @@ namespace tfsim::sim {
 /// longer ask for billions of threads.
 inline constexpr unsigned kMaxEnvThreads = 256;
 
-/// Hardened thread-count parser shared by TFSIM_JOBS and TFSIM_PDES:
+/// Hardened thread-count parser behind TFSIM_JOBS (jobs_from_env):
 ///   unset/empty -> `fallback`
 ///   "0"         -> one worker per hardware thread
 ///   1..ceiling  -> that many workers

@@ -6,8 +6,7 @@
 // An ArrivalProcess emits the absolute times at which requests *would*
 // arrive, independent of service progress, as a pure function of its seeded
 // RNG — never wall-clock — so a stream is bit-for-bit reproducible across
-// runs and across PDES worker counts (each source owns a private stream on
-// its borrower's calendar).
+// runs (each source owns a private stream on its borrower's calendar).
 #pragma once
 
 #include <cstdint>

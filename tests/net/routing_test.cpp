@@ -7,13 +7,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "golden_runs.hpp"
 #include "net/network.hpp"
 #include "net/switch.hpp"
 #include "net/topology.hpp"
@@ -296,7 +296,9 @@ TEST(LeafSpineTest, BuildsFullBipartiteTier) {
   // Every host pair routes without a single add_route call.
   for (const NodeId s : hosts) {
     for (const NodeId d : hosts) {
-      if (s != d) EXPECT_TRUE(net.has_route(s, d));
+      if (s != d) {
+        EXPECT_TRUE(net.has_route(s, d));
+      }
     }
   }
 }
@@ -367,75 +369,6 @@ TEST(LeafSpineTest, FaultDecorationCoversUplinks) {
 
 // --- post_routed (hop-by-hop PDES forwarding) ------------------------------
 
-struct FabricRun {
-  std::string trace;           ///< per-domain arrival fold, deterministic order
-  std::uint64_t arrivals = 0;  ///< total frames that survived
-  std::uint64_t drops = 0;     ///< switch tail-drops
-};
-
-// W request chains per host pair over a 2x2 leaf/spine with shallow kDrop
-// buffers; every arrival folds into its *destination* domain's digest, so
-// any cross-thread reordering or misrouting changes the trace string.
-FabricRun run_fabric_traffic(unsigned threads) {
-  Network net;
-  std::vector<NodeId> hosts;
-  for (int i = 0; i < 8; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
-  }
-  LeafSpineConfig cfg;
-  cfg.leaves = 2;
-  cfg.spines = 2;
-  cfg.edge = gig_link(1.25e9, 300);
-  cfg.uplink = gig_link(1.25e9, 300);
-  cfg.sw.policy = QueuePolicy::kDrop;
-  cfg.sw.buffer_bytes = 4096;
-  const auto fabric = LeafSpineFabric::build(net, cfg, hosts);
-
-  sim::PdesConfig pc;
-  pc.threads = threads;
-  pc.lookahead = net.min_propagation();
-  sim::ParallelEngine pdes(net.num_nodes(), pc);
-
-  const std::size_t n = hosts.size();
-  std::vector<std::uint64_t> fold(net.num_nodes(), 0);
-  std::vector<std::uint64_t> count(net.num_nodes(), 0);
-
-  // Each host fires a bounce chain at its cross-leaf partner: on arrival in
-  // the destination's domain, fold the time and send the next frame back.
-  std::function<void(NodeId, NodeId, int)> bounce = [&](NodeId src, NodeId dst,
-                                                        int remaining) {
-    net.post_routed(pdes, pdes.domain(static_cast<sim::DomainId>(src)).now(),
-                    src, dst, 1024, sim::Priority::kBulk,
-                    static_cast<std::uint64_t>(remaining),
-                    [&, src, dst, remaining](const Delivery& d) {
-                      fold[dst] = fold[dst] * 1099511628211ULL ^ d.arrival;
-                      ++count[dst];
-                      if (remaining > 0) bounce(dst, src, remaining - 1);
-                    });
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId src = hosts[i];
-    const NodeId dst = hosts[(i + 1) % n];  // neighbour sits on the other leaf
-    pdes.post(static_cast<sim::DomainId>(src),
-              static_cast<sim::DomainId>(src), sim::from_ns(10) * (i + 1),
-              [&, src, dst] { bounce(src, dst, 12); });
-  }
-  pdes.run();
-
-  FabricRun out;
-  std::ostringstream os;
-  for (std::size_t d = 0; d < fold.size(); ++d) {
-    os << d << ":" << fold[d] << ":" << count[d] << ";";
-    out.arrivals += count[d];
-  }
-  for (const auto& [id, sw] : net.switches()) {
-    os << "S" << id << "=" << sw.total_drops() << ";";
-    out.drops += sw.total_drops();
-  }
-  out.trace = os.str();
-  return out;
-}
-
 TEST(PostRoutedTest, MatchesAnalyticDeliveryOnQuietFabric) {
   // One frame on an idle fabric: post_routed must arrive exactly when the
   // serial analytic traversal says, switch hops included.
@@ -469,11 +402,17 @@ TEST(PostRoutedTest, MatchesAnalyticDeliveryOnQuietFabric) {
 }
 
 TEST(PostRoutedTest, ByteIdenticalAcrossThreadCounts) {
-  const FabricRun serial = run_fabric_traffic(1);
-  EXPECT_GT(serial.arrivals, 0u);
-  for (const unsigned threads : {2u, 8u}) {
-    const FabricRun parallel = run_fabric_traffic(threads);
-    EXPECT_EQ(serial.trace, parallel.trace) << threads << " threads";
+  // Bounce chains over a 2x2 leaf/spine with 4 KiB kDrop buffers.  Each
+  // seed's golden row was captured when 1 and 8 workers agreed on it byte
+  // for byte; fresh fabrics must keep reproducing it, tail drops included.
+  for (const std::uint64_t seed : {1ull, 42ull}) {
+    const std::string name = "leafspine_fabric/seed=" + std::to_string(seed);
+    const golden::Run first = golden::leafspine_fabric(seed);
+    const golden::Run again = golden::leafspine_fabric(seed);
+    EXPECT_GT(first.events, 0u);
+    EXPECT_EQ(first.serialized, again.serialized) << "seed " << seed;
+    EXPECT_EQ(golden::format_row(name, golden::row_of(first)),
+              golden::table_line(name));
   }
 }
 

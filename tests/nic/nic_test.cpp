@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "mem/dram.hpp"
 #include "net/network.hpp"
 #include "nic/injector.hpp"
@@ -209,6 +211,24 @@ TEST(InjectorTest, SetPeriodReconfigures) {
   inj.set_period(1000);
   EXPECT_EQ(inj.period(), 1000u);
   EXPECT_THROW(inj.set_period(0), std::invalid_argument);
+}
+
+TEST(InjectorTest, OverflowingPeriodIsRejected) {
+  // PERIOD x Tclk must not wrap simulated time; a rejected set_period
+  // leaves the gate as it was.
+  DelayInjector inj(320e6, 1);
+  EXPECT_THROW(inj.set_period(UINT64_MAX), std::invalid_argument);
+  EXPECT_EQ(inj.period(), 1u);
+  EXPECT_EQ(inj.interval(), inj.clock_period());
+  EXPECT_THROW(DelayInjector(320e6, UINT64_MAX / 2), std::invalid_argument);
+}
+
+TEST(InjectorTest, SampledDelayPastTheEndOfTimeThrows) {
+  auto dist = std::make_unique<net::LatencyDistribution>(
+      net::DistKind::kFixed, sim::from_us(3));
+  DelayInjector inj(std::move(dist));
+  EXPECT_THROW(inj.admit(sim::kTimeNever - 1), std::logic_error);
+  EXPECT_EQ(inj.admitted(), 0u);
 }
 
 TEST(InjectorTest, DistributionModeAddsSampledDelay) {

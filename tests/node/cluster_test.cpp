@@ -113,7 +113,7 @@ scenario::ScenarioSpec small_rack() {
   scenario::ScenarioSpec spec = scenario::leafspine_rack(3);
   spec.topology.leaves = 2;
   spec.topology.spines = 2;
-  spec.pdes.threads = 0;  // serial: keep the runtime domain checker armed
+  spec.pdes.threads = 0;  // one shared calendar
   return spec;
 }
 
@@ -169,7 +169,7 @@ TEST(ClusterLeafSpineTest, RemoteAccessCrossesTheSpineTier) {
 
 TEST(ClusterLeafSpineTest, PdesPartitionIncludesSwitchDomains) {
   scenario::ScenarioSpec spec = small_rack();
-  spec.pdes.threads = 2;
+  spec.pdes.threads = 1;
   Cluster cluster(spec);
   ASSERT_NE(cluster.pdes(), nullptr);
   EXPECT_EQ(cluster.pdes()->num_domains(), 10u)

@@ -1,35 +1,19 @@
 // Chaos timeline end-to-end on the 8x4 leaf/spine rack: a compressed
 // chaos_rack run must exercise every event kind, the detector path must
 // migrate off the gray lender (and rejoin after it recovers) while the
-// timeout-only baseline stays pinned on it, and the whole reactive loop
-// must stay byte-identical between the serial engine and a 4-worker PDES
-// run -- chaos is windows, not mutations, so determinism survives it.
+// timeout-only baseline stays pinned on it.  The golden digest table pins
+// this run's digest (chaos_half/seed=0).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "core/serving.hpp"
+#include "golden_runs.hpp"
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
 
 namespace tfsim::node {
 namespace {
-
-/// chaos_rack at half duration: every chaos event (gray lender, recover,
-/// port brownout, switch kill, recover) lands inside the shortened horizon
-/// because the timeline scales with the traffic.
-scenario::ScenarioSpec compressed_chaos(std::uint32_t threads) {
-  auto spec = *scenario::builtin("chaos_rack");
-  const double scale = 0.5;
-  spec.traffic.duration_us *= scale;
-  spec.slo.window_us *= scale;
-  for (scenario::ChaosEventSpec& ev : spec.chaos.events) {
-    ev.at_us *= scale;
-    ev.for_us *= scale;
-  }
-  spec.pdes.threads = threads;
-  return spec;
-}
 
 core::ServingReport run(const scenario::ScenarioSpec& spec) {
   Cluster cluster(spec);
@@ -37,7 +21,7 @@ core::ServingReport run(const scenario::ScenarioSpec& spec) {
 }
 
 TEST(ServingChaosTest, DetectorMigratesRestripesAndRejoins) {
-  const core::ServingReport rep = run(compressed_chaos(1));
+  const core::ServingReport rep = run(golden::compressed_chaos());
 
   EXPECT_TRUE(rep.balanced);
   EXPECT_GT(rep.totals.completed, 0u);
@@ -54,7 +38,7 @@ TEST(ServingChaosTest, DetectorMigratesRestripesAndRejoins) {
 }
 
 TEST(ServingChaosTest, TimeoutOnlyBaselineStaysPinnedOnGrayLender) {
-  auto on_spec = compressed_chaos(1);
+  auto on_spec = golden::compressed_chaos();
   auto off_spec = on_spec;
   off_spec.detector.enabled = false;
 
@@ -75,19 +59,21 @@ TEST(ServingChaosTest, TimeoutOnlyBaselineStaysPinnedOnGrayLender) {
 }
 
 TEST(ServingChaosTest, SerialAndPdesRunsAreByteIdentical) {
-  const core::ServingReport serial = run(compressed_chaos(1));
-  const core::ServingReport pdes = run(compressed_chaos(4));
+  // The golden row was captured when the serial engine and 4 PDES workers
+  // agreed on this run byte for byte; the per-node calendars, run serially,
+  // must reproduce it.
+  const golden::ServingRun run = golden::serve(golden::compressed_chaos());
 
   // The comparison only certifies what actually happened: a run where the
   // reactive path never fired would prove nothing about its determinism.
-  ASSERT_GT(serial.restripes, 0u);
-  ASSERT_GT(serial.failovers, 0u);
-  EXPECT_EQ(serial.serialized, pdes.serialized);
-  EXPECT_EQ(serial.digest, pdes.digest);
+  ASSERT_GT(run.report.restripes, 0u);
+  ASSERT_GT(run.report.failovers, 0u);
+  EXPECT_EQ(golden::format_row("chaos_half/seed=0", golden::row_of(run)),
+            golden::table_line("chaos_half/seed=0"));
 }
 
 TEST(ServingChaosTest, GrayLenderRequiresCappedLenderService) {
-  auto spec = compressed_chaos(1);
+  auto spec = golden::compressed_chaos();
   // An uncapped lender (no service time) has nothing for gray inflation to
   // stretch: run_serving must reject the combination loudly instead of
   // silently simulating a no-op chaos event.

@@ -6,10 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 
 #include "core/serving.hpp"
+#include "golden_runs.hpp"
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/pdes.hpp"
@@ -17,14 +16,7 @@
 namespace tfsim::node {
 namespace {
 
-scenario::ScenarioSpec compressed_serving() {
-  auto spec = *scenario::builtin("serving_diurnal");
-  spec.traffic.duration_us = 2000.0;
-  spec.traffic.diurnal_period_us = 2000.0;
-  spec.faults.kill_at_us = 1000.0;
-  spec.slo.window_us = 500.0;
-  return spec;
-}
+using golden::compressed_serving;
 
 TEST(ServingFailoverTest, KillLenderMidRunLeavesNoRequestUnaccounted) {
   auto spec = compressed_serving();
@@ -90,11 +82,9 @@ TEST(ServingFailoverTest, RunServingRequiresTrafficAndPdes) {
   EXPECT_THROW(core::run_serving(no_traffic), std::invalid_argument);
 }
 
-// Golden values for determinism_check's serving configuration on one PDES
-// worker.  determinism_check only compares serial with 8-worker runs, so a
-// scheduler change that altered both would pass it; these pin the report
-// digest and the barrier-window sequence length to the values the
-// scan-every-domain window loop produced.
+// Golden values for determinism_check's serving configuration: the report
+// digest and the window sequence length the scan-every-domain window loop
+// produced (the golden digest table repeats them as serving_2ms rows).
 TEST(ServingFailoverTest, GoldenDigestAndWindowCounts) {
   struct Golden {
     std::uint64_t seed;
@@ -102,26 +92,6 @@ TEST(ServingFailoverTest, GoldenDigestAndWindowCounts) {
     std::uint64_t windows;
     std::uint64_t executed;
   };
-  // The Cluster honors TFSIM_PDES; pin one worker and restore on exit.
-  struct PinnedPdesEnv {
-    PinnedPdesEnv() {
-      const char* env = std::getenv("TFSIM_PDES");
-      had = env != nullptr;
-      if (had) saved = env;
-      setenv("TFSIM_PDES", "1", 1);
-    }
-    PinnedPdesEnv(const PinnedPdesEnv&) = delete;
-    PinnedPdesEnv& operator=(const PinnedPdesEnv&) = delete;
-    ~PinnedPdesEnv() {
-      if (had) {
-        setenv("TFSIM_PDES", saved.c_str(), 1);
-      } else {
-        unsetenv("TFSIM_PDES");
-      }
-    }
-    bool had = false;
-    std::string saved;
-  } const pin;
   for (const Golden& g : {Golden{1, 0x0a2c4c1ffda382f6ULL, 5437, 21516},
                           Golden{42, 0x18ef3a37772546abULL, 5428, 22149}}) {
     SCOPED_TRACE(g.seed);

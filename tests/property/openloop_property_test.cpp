@@ -1,6 +1,7 @@
 // Open-loop serving properties (slow tier):
 //   * the full serving report -- hence every arrival, dispatch, QoS verdict
-//     and failover -- is byte-identical across 1/2/8 PDES workers;
+//     and failover -- matches the golden row that 1, 2 and 8 workers once
+//     agreed on byte for byte;
 //   * each arrival process's empirical mean inter-arrival time converges to
 //     1/rate as the sample count grows;
 //   * the offered == completed + shed + rejected + failed + in_flight +
@@ -8,13 +9,11 @@
 //     end of the run.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cmath>
+#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "core/serving.hpp"
-#include "node/cluster.hpp"
-#include "scenario/scenario.hpp"
+#include "golden_runs.hpp"
 #include "sim/engine.hpp"
 #include "sim/units.hpp"
 #include "workloads/openloop/arrivals.hpp"
@@ -23,53 +22,16 @@
 namespace tfsim::workloads {
 namespace {
 
-// The Cluster honors $TFSIM_PDES over the scenario, so pin the requested
-// worker count for the duration of one run (and restore afterwards: other
-// suites in this binary rely on the ambient setting).
-class PdesEnvPin {
- public:
-  explicit PdesEnvPin(unsigned threads) {
-    const char* old = std::getenv("TFSIM_PDES");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    setenv("TFSIM_PDES", std::to_string(threads).c_str(), 1);
-  }
-  ~PdesEnvPin() {
-    if (had_) {
-      setenv("TFSIM_PDES", saved_.c_str(), 1);
-    } else {
-      unsetenv("TFSIM_PDES");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
-core::ServingReport serving_run(unsigned threads, std::uint64_t seed) {
-  auto spec = *scenario::builtin("serving_diurnal");
-  spec.traffic.seed = seed;
-  spec.traffic.duration_us = 2000.0;
-  spec.traffic.diurnal_period_us = 2000.0;
-  spec.faults.kill_at_us = 1000.0;
-  spec.slo.window_us = 500.0;
-  spec.pdes.threads = threads;
-  PdesEnvPin pin(threads);
-  node::Cluster cluster(spec);
-  return core::run_serving(cluster);
-}
-
 TEST(OpenLoopPdesProperty, ReportByteIdenticalAcross128Workers) {
   for (const std::uint64_t seed : {1ull, 20260808ull, 0xD15EA5Eull}) {
-    const core::ServingReport serial = serving_run(1, seed);
-    const core::ServingReport two = serving_run(2, seed);
-    const core::ServingReport eight = serving_run(8, seed);
-    EXPECT_EQ(serial.serialized, two.serialized) << "seed " << seed;
-    EXPECT_EQ(serial.serialized, eight.serialized) << "seed " << seed;
-    EXPECT_EQ(serial.digest, eight.digest) << "seed " << seed;
-    EXPECT_GT(serial.totals.completed, 0u);
-    EXPECT_GT(serial.failovers, 0u)
+    auto spec = golden::compressed_serving();
+    spec.traffic.seed = seed;
+    const golden::ServingRun run = golden::serve(spec);
+    const std::string name = "serving_2ms/seed=" + std::to_string(seed);
+    EXPECT_EQ(golden::format_row(name, golden::row_of(run)),
+              golden::table_line(name));
+    EXPECT_GT(run.report.totals.completed, 0u);
+    EXPECT_GT(run.report.failovers, 0u)
         << "the kill path must be inside the identity claim";
   }
 }

@@ -275,10 +275,10 @@ TEST(ScenarioJsonTest, PdesBlockParsesAndRoundTrips) {
   const ScenarioSpec spec = parse(R"({
     "name": "pdes_mini",
     "nodes": [{"name": "b", "role": "borrower"}, {"name": "l", "count": 3}],
-    "pdes": {"threads": 8, "lookahead_ns": 250}
+    "pdes": {"threads": 1, "lookahead_ns": 250}
   })");
   EXPECT_TRUE(spec.pdes.enabled());
-  EXPECT_EQ(spec.pdes.threads, 8u);
+  EXPECT_EQ(spec.pdes.threads, 1u);
   EXPECT_DOUBLE_EQ(spec.pdes.lookahead_ns, 250.0);
   const std::string dumped = resolved_json(spec);
   EXPECT_EQ(resolved_json(parse(dumped)), dumped);
@@ -295,7 +295,7 @@ TEST(ScenarioJsonTest, PdesBlockRejectsUnknownKeysAndBadValues) {
                           "pdes": {"workers": 4}})"),
                JsonError);
   EXPECT_THROW(parse(R"({"nodes": [{"name": "b"}],
-                          "pdes": {"threads": 4, "lookahead_ns": -1}})"),
+                          "pdes": {"threads": 1, "lookahead_ns": -1}})"),
                JsonError)
       << "negative lookahead must be rejected at parse time";
 }
@@ -357,13 +357,15 @@ TEST(ScenarioJsonTest, InvalidValuesRejected) {
                         "factor": 1e30}]}})",
                   "chaos.events[2].factor: must be a number in [0, 1000]");
   expect_rejected(R"({"nodes": []})", "nodes: is required");
+  expect_rejected(R"({"nodes": [{"name": "b"}], "pdes": {"threads": 8}})",
+                  "pdes.threads: must be an integer in [0, 1], got 8");
 
   // Cross-field rules name a path too.
   expect_rejected(R"({"nodes": [{"name": "b"}],
                       "traffic": {"process": "poisson", "rate_rps": 1000,
                                   "duration_us": 100}})",
                   "pdes.threads: must be >= 1 when traffic.process is set");
-  expect_rejected(R"({"nodes": [{"name": "b"}], "pdes": {"threads": 2},
+  expect_rejected(R"({"nodes": [{"name": "b"}], "pdes": {"threads": 1},
                       "topology": {"link": {"propagation_ns": 0}}})",
                   "topology.link.propagation_ns: must be > 0 when "
                   "pdes.threads >= 1");
@@ -456,6 +458,8 @@ std::vector<Json> candidates(const FieldInfo& f, const Json& cur) {
 
 TEST(ScenarioSchemaTest, EveryFieldRoundTripsAtANonDefaultValue) {
   // One element in every array, so every table row has a leaf to set.
+  // traffic.process stays unset: with it set, pdes.threads has no legal
+  // value but 1.
   const Json base = to_json(parse(R"({
     "nodes": [{"name": "b", "role": "borrower"}],
     "reservations": [{"borrower": "b"}],
@@ -464,7 +468,7 @@ TEST(ScenarioSchemaTest, EveryFieldRoundTripsAtANonDefaultValue) {
                "kill_lender": {"node": "l", "at_us": 100}},
     "chaos": {"events": [{"at_us": 1, "kind": "brownout_port",
                           "target": "leaf0:spine0"}]},
-    "traffic": {"process": "poisson", "rate_rps": 1000, "duration_us": 100,
+    "traffic": {"rate_rps": 1000, "duration_us": 100,
                 "tenants": [{"name": "t"}]},
     "pdes": {"threads": 1},
     "sweep": {"periods": [1], "lenders": [1], "borrowers": [1],

@@ -1,23 +1,19 @@
-// ParallelEngine: conservative barrier-window PDES over per-domain slab
-// calendars (sim/pdes.hpp).  The suite pins the three contracts the
-// tentpole rests on: lookahead enforcement at the horizon boundary,
-// thread-count-independent determinism, and cancel semantics across
-// calendars (including the ISSUE 7 foreign-handle bugfix).
+// ParallelEngine: conservative lookahead windows over per-domain slab
+// calendars (sim/pdes.hpp).  The suite pins lookahead enforcement at the
+// horizon boundary, the pdes.threads on/off switch, and cancel semantics
+// across calendars (including the foreign-handle bugfix).  The golden
+// digest table pins a seeded multi-domain ring's digest and window count.
 #include "sim/pdes.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <functional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "golden_runs.hpp"
 #include "sim/domain.hpp"
 #include "sim/engine.hpp"
-#include "sim/rng.hpp"
-#include "sim/sweep.hpp"
 
 namespace tfsim::sim {
 namespace {
@@ -27,60 +23,6 @@ PdesConfig config(unsigned threads, Time lookahead) {
   cfg.threads = threads;
   cfg.lookahead = lookahead;
   return cfg;
-}
-
-// Deterministic message-passing workload: every domain runs a seeded event
-// chain, each step optionally posting to the next domain at >= the horizon.
-// Returns one trace string per domain (time/count folds) so serial and
-// parallel runs can be compared byte-for-byte.
-std::vector<std::string> run_ring(unsigned threads, std::size_t domains,
-                                  Time lookahead, std::uint64_t seed,
-                                  int chain_len) {
-  ParallelEngine pdes(domains, config(threads, lookahead));
-  std::vector<std::uint64_t> hops(domains, 0);
-  std::vector<std::uint64_t> fold(domains, 0);
-  struct Ctx {
-    ParallelEngine* pdes;
-    std::vector<std::uint64_t>* hops;
-    std::vector<std::uint64_t>* fold;
-    std::size_t domains;
-    Time lookahead;
-    int chain_len;
-  } ctx{&pdes, &hops, &fold, domains, lookahead, chain_len};
-
-  // Each hop folds (domain, now) into the owning domain's digest and
-  // forwards to the next ring member one lookahead out -- always legal,
-  // since the next window's horizon is at most now + lookahead.
-  std::function<void(Ctx*, DomainId, int)> hop = [&hop](Ctx* c, DomainId d,
-                                                        int depth) {
-    Engine& self = c->pdes->domain(d);
-    (*c->hops)[d]++;
-    (*c->fold)[d] = (*c->fold)[d] * 1099511628211ULL ^ self.now() ^ d;
-    if (depth <= 0) return;
-    const auto dst = static_cast<DomainId>((d + 1) % c->domains);
-    const Time t = self.now() + c->lookahead;
-    c->pdes->post(d, dst, t, [c, dst, depth, &hop] { hop(c, dst, depth - 1); });
-  };
-
-  Rng rng(seed);
-  for (std::size_t d = 0; d < domains; ++d) {
-    const Time start = rng.uniform_u64(lookahead);
-    pdes.post(static_cast<DomainId>(d), static_cast<DomainId>(d), start,
-              [&ctx, d, &hop] {
-                hop(&ctx, static_cast<DomainId>(d), ctx.chain_len);
-              });
-  }
-  pdes.run();
-
-  std::vector<std::string> out;
-  out.reserve(domains);
-  for (std::size_t d = 0; d < domains; ++d) {
-    std::ostringstream os;
-    os << d << ":" << hops[d] << ":" << fold[d] << ":"
-       << pdes.domain(static_cast<DomainId>(d)).executed();
-    out.push_back(os.str());
-  }
-  return out;
 }
 
 TEST(PdesTest, SerialWindowedRunMatchesPlainEngineSemantics) {
@@ -97,7 +39,7 @@ TEST(PdesTest, SerialWindowedRunMatchesPlainEngineSemantics) {
 }
 
 TEST(PdesTest, ZeroDelaySelfSendsAreLegal) {
-  ParallelEngine pdes(2, config(2, 10));
+  ParallelEngine pdes(2, config(1, 10));
   int count = 0;
   // A callback scheduling into its own domain at its own `now` must run in
   // the same window -- self-sends never synchronize.
@@ -144,23 +86,35 @@ TEST(PdesTest, RunRequiresLookahead) {
 }
 
 TEST(PdesTest, DeterministicAcrossThreadCounts) {
-  const auto serial = run_ring(1, 16, 300, 0xC0FFEE, 40);
-  const auto par2 = run_ring(2, 16, 300, 0xC0FFEE, 40);
-  const auto par8 = run_ring(8, 16, 300, 0xC0FFEE, 40);
-  EXPECT_EQ(serial, par2);
-  EXPECT_EQ(serial, par8);
+  // A seeded 16-domain ring.  Its golden row was captured when 1, 2 and 8
+  // workers all produced it byte for byte; the serial windows must keep
+  // reproducing that result, run after run.
+  const std::string name =
+      "calendar_ring/domains=16/lookahead=300/seed=12648430/chain=40";
+  const golden::Run first = golden::calendar_ring(16, 300, 0xC0FFEE, 40);
+  const golden::Run again = golden::calendar_ring(16, 300, 0xC0FFEE, 40);
+  EXPECT_EQ(first.serialized, again.serialized);
+  EXPECT_EQ(golden::format_row(name, golden::row_of(first)),
+            golden::table_line(name));
 }
 
-TEST(PdesTest, ThreadCountCapsAtDomainCount) {
-  // More workers than domains must neither deadlock the barrier nor change
-  // results (the pool is sized min(threads, domains)).
-  const auto serial = run_ring(1, 3, 100, 7, 25);
-  const auto par16 = run_ring(16, 3, 100, 7, 25);
-  EXPECT_EQ(serial, par16);
+TEST(PdesTest, ThreadsAboveOneAreRejected) {
+  // pdes.threads is an on/off switch: 0 and 1 both run windows serially.
+  for (const unsigned threads : {0u, 1u}) {
+    ParallelEngine pdes(2, config(threads, 100));
+    EXPECT_EQ(pdes.threads(), threads);
+  }
+  try {
+    ParallelEngine pdes(2, config(8, 100));
+    FAIL() << "threads = 8 must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("pdes.threads"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PdesTest, CancelAcrossBarrierWindows) {
-  ParallelEngine pdes(2, config(2, 50));
+  ParallelEngine pdes(2, config(1, 50));
   int fired = 0;
   // Victim sits several windows out in domain 0's own future.
   Engine::EventId victim =
@@ -212,38 +166,19 @@ TEST(PdesTest, ForeignCancelReportedUnderStrictChecker) {
 }
 
 TEST(PdesTest, WorkerExceptionPropagatesLowestDomainFirst) {
-  for (const unsigned threads : {1u, 4u}) {
-    ParallelEngine pdes(4, config(threads, 100));
-    for (DomainId d = 0; d < 4; ++d) {
-      pdes.post(d, d, 10, [d] {
-        throw std::runtime_error("boom " + std::to_string(d));
-      });
-    }
-    try {
-      pdes.run();
-      FAIL() << "expected the domain exception to propagate";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "boom 0") << "lowest domain id wins, as serial";
-    }
-    EXPECT_FALSE(pdes.running());
+  ParallelEngine pdes(4, config(1, 100));
+  for (DomainId d = 0; d < 4; ++d) {
+    pdes.post(d, d, 10, [d] {
+      throw std::runtime_error("boom " + std::to_string(d));
+    });
   }
-}
-
-TEST(PdesTest, ThreadsFromEnv) {
-  setenv("TFSIM_PDES", "8", 1);
-  EXPECT_EQ(PdesConfig::threads_from_env(), 8u);
-  setenv("TFSIM_PDES", "off", 1);
-  EXPECT_EQ(PdesConfig::threads_from_env(), 0u);
-  setenv("TFSIM_PDES", "-1", 1);
-  EXPECT_EQ(PdesConfig::threads_from_env(), 0u) << "negatives reject to off";
-  setenv("TFSIM_PDES", "junk", 1);
-  EXPECT_EQ(PdesConfig::threads_from_env(), 0u);
-  setenv("TFSIM_PDES", "1000000", 1);
-  EXPECT_EQ(PdesConfig::threads_from_env(), kMaxEnvThreads);
-  setenv("TFSIM_PDES", "0", 1);
-  EXPECT_GE(PdesConfig::threads_from_env(), 1u) << "0 = hardware concurrency";
-  unsetenv("TFSIM_PDES");
-  EXPECT_EQ(PdesConfig::threads_from_env(), 0u);
+  try {
+    pdes.run();
+    FAIL() << "expected the domain exception to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom 0") << "lowest domain id wins";
+  }
+  EXPECT_FALSE(pdes.running());
 }
 
 }  // namespace

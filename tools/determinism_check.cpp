@@ -33,29 +33,13 @@
 //      with NIC retry/replay active, computed serially and on an 8-worker
 //      pool, must produce byte-identical probe rows -- the seeded fault
 //      streams are pure functions of the spec, never of scheduling.
-//   8. intra-run PDES (sim/pdes.hpp): seeded cross-domain traffic over a
-//      ring fabric driven through per-node calendars with conservative
-//      lookahead; the serial run (TFSIM_PDES=off equivalent) and an
-//      8-worker barrier-window run must produce byte-identical per-domain
-//      digests, clocks and link counters.
-//   9. the leaf/spine fabric: post_routed hop-by-hop forwarding through
-//      shared switches with shallow kDrop egress buffers, so ECMP striping,
-//      switch admission, and tail drops all land in the digest; the serial
-//      and 8-worker runs must agree byte-for-byte, and the traffic must
-//      actually overflow a buffer (drops > 0) or the check proved nothing.
-//  10. open-loop serving (core/run_serving): a compressed serving_diurnal
-//      cycle -- Poisson-thinned diurnal arrivals, lender-side QoS credits,
-//      a mid-run lender kill with reactive failover -- run serially and on
-//      8 workers; the report's canonical serialization (every per-source
-//      counter, SLO window, and latency digest) must be byte-identical,
-//      and the kill must actually trigger failovers or it proved nothing.
-//  11. fabric chaos + online detection: a compressed chaos_rack timeline
-//      (gray lender, browned-out port, spine kill) with the health
-//      detector enabled -- per-source EWMA scoring, ECMP re-stripes,
-//      migrations and rejoin probing are all per-source local state, so
-//      the serial and 8-worker serializations must be byte-identical, and
-//      the chaos must actually trigger re-stripes and migrations or the
-//      reactive paths went unexercised.
+//   8-11. the golden table's reference runs on per-node calendars
+//      (tools/golden_runs.hpp): seeded traffic over a ring fabric; a 2x2
+//      leaf/spine with shallow kDrop buffers, which must tail-drop; a
+//      compressed serving_diurnal with a mid-run lender kill, which must
+//      fail over; and a compressed chaos_rack with the health detector,
+//      which must re-stripe and migrate.  tests/golden/digests.txt pins
+//      their digests at seeds 1 and 42.
 //
 // Exit code 0 when both runs agree, 1 with a diff otherwise.  Wired into
 // ctest and the `determinism_check` CMake target.
@@ -79,15 +63,13 @@
 #include "ctrl/control_plane.hpp"
 #include "ctrl/policy.hpp"
 #include "ctrl/registry.hpp"
+#include "golden_runs.hpp"
 #include "node/cluster.hpp"
 #include "node/node.hpp"
 #include "net/network.hpp"
-#include "net/switch.hpp"
-#include "net/topology.hpp"
 #include "node/testbed.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
-#include "sim/pdes.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/sweep.hpp"
@@ -478,323 +460,67 @@ bool scenario_faults(std::uint64_t seed, std::ostringstream& out) {
   return match;
 }
 
-// Scenario 8: the intra-run PDES core.  Thread count must change wall-clock
-// time only -- per-domain event counts, clocks, traffic digests and link
-// byte counters are compared byte-for-byte between a serial run and an
-// 8-worker barrier-window run over the same seeded ring traffic.
-std::string pdes_traffic(std::uint64_t seed, unsigned threads) {
-  namespace net = tfsim::net;
-  namespace sim = tfsim::sim;
+// Scenarios 8-11 are reference runs of the golden digest table
+// (tools/golden_runs.hpp, tests/golden/digests.txt) on per-node calendars;
+// run_all's two passes catch in-process nondeterminism the table cannot,
+// and each scenario fails when the path it exists for went unexercised.
 
-  constexpr std::size_t kNodes = 12;
-  net::Network fabric;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    fabric.add_node("n" + std::to_string(i));
-  }
-  Rng wiring(seed ^ 0xFAB51Cull);
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    net::LinkConfig cfg;
-    cfg.propagation = sim::from_ns(80.0 + wiring.uniform(0.0, 300.0));
-    cfg.bandwidth = sim::Bandwidth::from_gbit(50.0);
-    fabric.connect(static_cast<net::NodeId>(i),
-                   static_cast<net::NodeId>((i + 1) % kNodes), cfg);
-  }
-
-  sim::PdesConfig cfg;
-  cfg.threads = threads;
-  cfg.lookahead = fabric.min_propagation();
-  sim::ParallelEngine pdes(kNodes, cfg);
-
-  std::vector<Rng> rng;
-  std::vector<std::uint64_t> fold(kNodes, 0);
-  rng.reserve(kNodes);
-  for (std::size_t d = 0; d < kNodes; ++d) {
-    rng.emplace_back(seed ^ (0x9E3779B97F4A7C15ULL * (d + 1)));
-  }
-
-  std::function<void(sim::DomainId, int)> bounce = [&](sim::DomainId d,
-                                                       int budget) {
-    sim::Engine& self = pdes.domain(d);
-    fold[d] = fold[d] * 1099511628211ULL ^ self.now() ^ d;
-    if (budget <= 0) return;
-    const auto dst = static_cast<net::NodeId>((d + 1) % kNodes);
-    const std::uint64_t bytes = 64 + rng[d].uniform_u64(1400);
-    fabric.post_delivery(
-        pdes, d, static_cast<sim::DomainId>(dst), self.now(),
-        static_cast<net::NodeId>(d), dst, bytes, sim::Priority::kBulk,
-        [&bounce, dst, budget](const net::Delivery&) {
-          bounce(static_cast<sim::DomainId>(dst), budget - 1);
-        });
-  };
-  for (std::size_t d = 0; d < kNodes; ++d) {
-    const sim::Time start = 1 + rng[d].uniform_u64(cfg.lookahead);
-    pdes.post(static_cast<sim::DomainId>(d), static_cast<sim::DomainId>(d),
-              start, [&bounce, d] {
-                bounce(static_cast<sim::DomainId>(d), 50);
-              });
-  }
-  pdes.run();
-
-  std::ostringstream os;
-  for (std::size_t d = 0; d < kNodes; ++d) {
-    os << d << ":" << fold[d] << ":"
-       << pdes.domain(static_cast<sim::DomainId>(d)).executed() << ":"
-       << pdes.domain(static_cast<sim::DomainId>(d)).now() << ";";
-  }
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    const auto& link = fabric.link(static_cast<net::NodeId>(i),
-                                   static_cast<net::NodeId>((i + 1) % kNodes));
-    os << "L" << i << "=" << link.bytes_sent() << "," << link.packets_sent()
-       << ";";
-  }
-  return os.str();
+// Scenario 8: seeded cross-domain traffic over a ring fabric.
+void scenario_pdes(std::uint64_t seed, std::ostringstream& out) {
+  const tfsim::golden::Run r = tfsim::golden::ring_fabric(seed);
+  out << "pdes: digest=" << r.digest() << " events=" << r.events
+      << " windows=" << r.windows << "\n";
 }
 
-bool scenario_pdes(std::uint64_t seed, std::ostringstream& out) {
-  const std::string serial = pdes_traffic(seed, 1);
-  const std::string parallel = pdes_traffic(seed, 8);
-
-  Digest d;
-  for (const char c : serial) d.add(static_cast<std::uint64_t>(c));
-  const bool match = serial == parallel;
-  out << "pdes: digest=" << d.h
-      << " serial==8-thread=" << (match ? "yes" : "NO") << "\n";
-  if (!match) {
-    std::fprintf(stderr,
-                 "determinism_check: PDES diverged across thread counts\n"
-                 "--- serial ---\n%s\n--- 8 threads ---\n%s\n",
-                 serial.c_str(), parallel.c_str());
-  }
-  return match;
-}
-
-// Scenario 9: the leaf/spine fabric under PDES.  Hop-by-hop post_routed
-// forwarding is the only sound way to drive *shared* switches in parallel
-// (each egress link is transmitted on only from its owner's domain), so the
-// digest covers routing-table forwarding, deterministic ECMP striping, and
-// the kDrop admission path under deliberately shallow buffers.
-std::string fabric_traffic(std::uint64_t seed, unsigned threads,
-                           std::uint64_t& total_drops) {
-  namespace net = tfsim::net;
-  namespace sim = tfsim::sim;
-
-  constexpr std::size_t kHosts = 8;
-  net::Network fabric;
-  std::vector<net::NodeId> hosts;
-  hosts.reserve(kHosts);
-  for (std::size_t i = 0; i < kHosts; ++i) {
-    hosts.push_back(fabric.add_node("h" + std::to_string(i)));
-  }
-  net::LeafSpineConfig topo;
-  topo.leaves = 2;
-  topo.spines = 2;
-  topo.edge.bandwidth = sim::Bandwidth::from_gbit(50.0);
-  topo.edge.propagation = sim::from_ns(120.0);
-  topo.uplink.bandwidth = sim::Bandwidth::from_gbit(50.0);
-  topo.uplink.propagation = sim::from_ns(200.0);
-  topo.sw.policy = net::QueuePolicy::kDrop;
-  topo.sw.buffer_bytes = 4096;  // shallow on purpose: tail drops must occur
-  const auto rack = net::LeafSpineFabric::build(fabric, topo, hosts);
-
-  const std::size_t kDomains = kHosts + rack.leaves.size() + rack.spines.size();
-  sim::PdesConfig cfg;
-  cfg.threads = threads;
-  cfg.lookahead = fabric.min_propagation();
-  sim::ParallelEngine pdes(kDomains, cfg);
-
-  std::vector<Rng> rng;
-  std::vector<std::uint64_t> fold(kHosts, 0);
-  std::vector<std::uint64_t> arrivals(kHosts, 0);
-  rng.reserve(kHosts);
-  for (std::size_t h = 0; h < kHosts; ++h) {
-    rng.emplace_back(seed ^ (0x9E3779B97F4A7C15ULL * (h + 1)));
-  }
-
-  // Bounce chains host i -> (i + 1) % kHosts: hosts alternate leaves, so
-  // every frame crosses the spine tier and contends for the shallow uplink
-  // buffers.  A tail-dropped frame ends its chain silently -- which chains
-  // survive is itself part of the determinism claim.  Per-host state (rng,
-  // fold, arrivals) is only touched from the owning domain.
-  std::function<void(net::NodeId, int, std::uint64_t)> bounce =
-      [&](net::NodeId h, int budget, std::uint64_t flow) {
-        sim::Engine& self = pdes.domain(static_cast<sim::DomainId>(h));
-        fold[h] = fold[h] * 1099511628211ULL ^ self.now() ^ h;
-        ++arrivals[h];
-        if (budget <= 0) return;
-        const auto dst = static_cast<net::NodeId>((h + 1) % kHosts);
-        const std::uint64_t bytes = 256 + rng[h].uniform_u64(1200);
-        fabric.post_routed(pdes, self.now(), h, dst, bytes,
-                           sim::Priority::kBulk, flow,
-                           [&bounce, dst, budget, flow](const net::Delivery&) {
-                             bounce(dst, budget - 1, flow + 1);
-                           });
-      };
-  for (std::size_t h = 0; h < kHosts; ++h) {
-    for (int chain = 0; chain < 4; ++chain) {
-      const sim::Time start = 1 + rng[h].uniform_u64(cfg.lookahead);
-      const auto flow = static_cast<std::uint64_t>(h * 131 + chain);
-      pdes.post(static_cast<sim::DomainId>(h), static_cast<sim::DomainId>(h),
-                start, [&bounce, h, flow] {
-                  bounce(static_cast<net::NodeId>(h), 40, flow);
-                });
-    }
-  }
-  pdes.run();
-
-  std::ostringstream os;
-  total_drops = 0;
-  for (std::size_t h = 0; h < kHosts; ++h) {
-    os << h << ":" << fold[h] << ":" << arrivals[h] << ":"
-       << pdes.domain(static_cast<sim::DomainId>(h)).executed() << ":"
-       << pdes.domain(static_cast<sim::DomainId>(h)).now() << ";";
-  }
-  for (const auto& [id, sw] : fabric.switches()) {
-    os << "S" << id << "=" << sw.total_drops();
-    for (const auto& [egress, port] : sw.ports()) {
-      os << ",p" << egress << ":" << port.frames << ":" << port.bytes << ":"
-         << port.drops << ":" << port.peak_queued_bytes;
-    }
-    os << ";";
-    total_drops += sw.total_drops();
-  }
-  return os.str();
-}
-
+// Scenario 9: the leaf/spine fabric -- routing-table forwarding,
+// deterministic ECMP striping, and the kDrop admission path under
+// deliberately shallow buffers.
 bool scenario_fabric(std::uint64_t seed, std::ostringstream& out) {
-  std::uint64_t serial_drops = 0, parallel_drops = 0;
-  const std::string serial = fabric_traffic(seed, 1, serial_drops);
-  const std::string parallel = fabric_traffic(seed, 8, parallel_drops);
-
-  Digest d;
-  for (const char c : serial) d.add(static_cast<std::uint64_t>(c));
-  const bool match = serial == parallel && serial_drops > 0;
-  out << "fabric: digest=" << d.h << " drops=" << serial_drops
-      << " serial==8-thread=" << (serial == parallel ? "yes" : "NO") << "\n";
-  if (serial != parallel) {
-    std::fprintf(stderr,
-                 "determinism_check: leaf/spine fabric diverged across "
-                 "thread counts\n--- serial ---\n%s\n--- 8 threads ---\n%s\n",
-                 serial.c_str(), parallel.c_str());
-  } else if (serial_drops == 0) {
+  const tfsim::golden::Run r = tfsim::golden::leafspine_fabric(seed);
+  out << "fabric: digest=" << r.digest() << " drops=" << r.switch_drops
+      << " events=" << r.events << " windows=" << r.windows << "\n";
+  if (r.switch_drops == 0) {
     std::fprintf(stderr,
                  "determinism_check: fabric scenario saw no switch drops -- "
                  "the kDrop admission path went unexercised\n");
   }
-  return match;
+  return r.switch_drops > 0;
 }
 
-// Scenario 10: the open-loop serving harness.  A compressed serving_diurnal
-// (one 2 ms diurnal cycle, the lender kill at its peak) driven through
-// run_serving; the harness already serializes every observable -- source
-// counters, failover walks, QoS rejections, SLO windows -- in fixed order,
-// so the comparison is simply its canonical string.  TFSIM_PDES is pinned
-// per run because the Cluster honors the environment (the CI tsan job sets
-// TFSIM_PDES=8, which would silently retarget the serial reference).
-tfsim::core::ServingReport serving_traffic(std::uint64_t seed,
-                                           unsigned threads) {
-  auto spec = *tfsim::scenario::builtin("serving_diurnal");
-  spec.traffic.seed = seed;
-  spec.traffic.duration_us = 2000.0;
-  spec.traffic.diurnal_period_us = 2000.0;
-  spec.faults.kill_at_us = 1000.0;
-  spec.slo.window_us = 500.0;
-  spec.pdes.threads = threads;
-  setenv("TFSIM_PDES", std::to_string(threads).c_str(), 1);
-  tfsim::node::Cluster cluster(spec);
-  return tfsim::core::run_serving(cluster);
-}
-
+// Scenario 10: the open-loop serving harness over a compressed
+// serving_diurnal (one 2 ms diurnal cycle, the lender kill at its peak).
 bool scenario_serving(std::uint64_t seed, std::ostringstream& out) {
-  const char* env = std::getenv("TFSIM_PDES");
-  const std::string saved = env != nullptr ? env : "";
-  const bool had_env = env != nullptr;
-
-  const tfsim::core::ServingReport serial = serving_traffic(seed, 1);
-  const tfsim::core::ServingReport parallel = serving_traffic(seed, 8);
-
-  if (had_env) {
-    setenv("TFSIM_PDES", saved.c_str(), 1);
-  } else {
-    unsetenv("TFSIM_PDES");
-  }
-
-  const bool match =
-      serial.serialized == parallel.serialized && serial.failovers > 0;
-  out << "serving: digest=" << serial.digest
-      << " completed=" << serial.totals.completed
-      << " failovers=" << serial.failovers
-      << " serial==8-thread="
-      << (serial.serialized == parallel.serialized ? "yes" : "NO") << "\n";
-  if (serial.serialized != parallel.serialized) {
-    std::fprintf(stderr,
-                 "determinism_check: serving harness diverged across thread "
-                 "counts\n--- serial ---\n%s\n--- 8 threads ---\n%s\n",
-                 serial.serialized.c_str(), parallel.serialized.c_str());
-  } else if (serial.failovers == 0) {
+  auto spec = tfsim::golden::compressed_serving();
+  spec.traffic.seed = seed;
+  const tfsim::core::ServingReport r = tfsim::golden::serve(spec).report;
+  out << "serving: digest=" << r.digest << " completed=" << r.totals.completed
+      << " failovers=" << r.failovers << "\n";
+  if (r.failovers == 0) {
     std::fprintf(stderr,
                  "determinism_check: serving scenario saw no failovers -- "
                  "the mid-run kill path went unexercised\n");
   }
-  return match;
+  return r.failovers > 0;
 }
 
-// Scenario 11: fabric chaos with the online detector.  A half-length
-// chaos_rack timeline (every chaos event and the SLO window scaled with the
-// horizon) so gray-lender detection, ECMP re-striping, migration and rejoin
-// probing all fire inside the run.  All reactive state is per-source local,
-// so the canonical serialization must match from 1 to 8 workers.
-tfsim::core::ServingReport chaos_traffic(std::uint64_t seed,
-                                         unsigned threads) {
-  auto spec = *tfsim::scenario::builtin("chaos_rack");
-  const double scale = 0.5;
-  spec.traffic.seed = seed;
-  spec.traffic.duration_us *= scale;
-  spec.slo.window_us *= scale;
-  for (auto& ev : spec.chaos.events) {
-    ev.at_us *= scale;
-    ev.for_us *= scale;
-  }
-  spec.pdes.threads = threads;
-  setenv("TFSIM_PDES", std::to_string(threads).c_str(), 1);
-  tfsim::node::Cluster cluster(spec);
-  return tfsim::core::run_serving(cluster);
-}
-
+// Scenario 11: fabric chaos with the online detector over a half-length
+// chaos_rack timeline, so gray-lender detection, ECMP re-striping,
+// migration and rejoin probing all fire inside the run.
 bool scenario_chaos(std::uint64_t seed, std::ostringstream& out) {
-  const char* env = std::getenv("TFSIM_PDES");
-  const std::string saved = env != nullptr ? env : "";
-  const bool had_env = env != nullptr;
-
-  const tfsim::core::ServingReport serial = chaos_traffic(seed, 1);
-  const tfsim::core::ServingReport parallel = chaos_traffic(seed, 8);
-
-  if (had_env) {
-    setenv("TFSIM_PDES", saved.c_str(), 1);
-  } else {
-    unsetenv("TFSIM_PDES");
-  }
-
-  const bool reacted = serial.restripes > 0 && serial.failovers > 0;
-  const bool match = serial.serialized == parallel.serialized && reacted;
-  out << "chaos: digest=" << serial.digest
-      << " completed=" << serial.totals.completed
-      << " restripes=" << serial.restripes
-      << " failovers=" << serial.failovers << " rejoins=" << serial.rejoins
-      << " gray_inflated=" << serial.gray_inflated
-      << " chaos_drops=" << serial.switch_chaos_drops
-      << " serial==8-thread="
-      << (serial.serialized == parallel.serialized ? "yes" : "NO") << "\n";
-  if (serial.serialized != parallel.serialized) {
-    std::fprintf(stderr,
-                 "determinism_check: chaos scenario diverged across thread "
-                 "counts\n--- serial ---\n%s\n--- 8 threads ---\n%s\n",
-                 serial.serialized.c_str(), parallel.serialized.c_str());
-  } else if (!reacted) {
+  auto spec = tfsim::golden::compressed_chaos();
+  spec.traffic.seed = seed;
+  const tfsim::core::ServingReport r = tfsim::golden::serve(spec).report;
+  out << "chaos: digest=" << r.digest << " completed=" << r.totals.completed
+      << " restripes=" << r.restripes << " failovers=" << r.failovers
+      << " rejoins=" << r.rejoins << " gray_inflated=" << r.gray_inflated
+      << " chaos_drops=" << r.switch_chaos_drops << "\n";
+  const bool reacted = r.restripes > 0 && r.failovers > 0;
+  if (!reacted) {
     std::fprintf(stderr,
                  "determinism_check: chaos scenario never re-striped or "
                  "migrated -- the detector reaction paths went unexercised\n");
   }
-  return match;
+  return reacted;
 }
 
 std::string run_all(std::uint64_t seed, bool& sweep_ok) {
@@ -806,7 +532,7 @@ std::string run_all(std::uint64_t seed, bool& sweep_ok) {
   sweep_ok = scenario_sweep(seed, out) && sweep_ok;
   sweep_ok = scenario_cluster_refactor(out) && sweep_ok;
   sweep_ok = scenario_faults(seed, out) && sweep_ok;
-  sweep_ok = scenario_pdes(seed, out) && sweep_ok;
+  scenario_pdes(seed, out);
   sweep_ok = scenario_fabric(seed, out) && sweep_ok;
   sweep_ok = scenario_serving(seed, out) && sweep_ok;
   sweep_ok = scenario_chaos(seed, out) && sweep_ok;
@@ -830,8 +556,9 @@ int main(int argc, char** argv) {
   const std::string second = run_all(seed, sweep_ok);
   if (!sweep_ok) {
     std::fprintf(stderr,
-                 "determinism_check: FAILED -- parallel sweep diverged from "
-                 "serial\n%s",
+                 "determinism_check: FAILED -- a scenario check failed (a "
+                 "parallel sweep diverged from serial or a path went "
+                 "unexercised)\n%s",
                  first.c_str());
     return 1;
   }

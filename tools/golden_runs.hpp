@@ -1,0 +1,85 @@
+// Reference runs: the small seeded workloads that the golden digest table
+// (tests/golden/digests.txt) pins and determinism_check re-runs twice.
+//
+// Each run returns the canonical fixed-order serialization of everything it
+// observed plus the engine's event and lookahead-window counts, so a golden
+// row (FNV-1a digest, events, windows) changes whenever any observable does.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <string>
+
+#include "core/serving.hpp"
+#include "scenario/scenario.hpp"
+#include "sim/units.hpp"
+
+namespace tfsim::golden {
+
+struct Run {
+  std::string serialized;     ///< canonical fixed-order observables
+  std::uint64_t events = 0;   ///< events executed across every calendar
+  std::uint64_t windows = 0;  ///< lookahead windows opened
+  std::uint64_t switch_drops = 0;
+  std::uint64_t digest() const { return core::fnv1a(serialized); }
+};
+
+/// Bare per-domain calendars, no fabric: every domain runs a seeded chain of
+/// `chain_len` hops, each posting to the next domain one lookahead out.
+Run calendar_ring(std::size_t domains, sim::Time lookahead,
+                  std::uint64_t seed, int chain_len);
+
+/// A 12-node one-way ring of links with seeded propagation delays; each node
+/// bounces a 50-hop frame chain onward.
+Run ring_fabric(std::uint64_t seed);
+
+/// A 2x2 leaf/spine rack with 4 KiB kDrop egress buffers: four bounce chains
+/// per host cross the spine tier, so ECMP striping, switch admission and
+/// tail drops all land in the serialization.
+Run leafspine_fabric(std::uint64_t seed);
+
+/// A random strongly connected fabric (2..12 nodes, ring plus chords, every
+/// link with its own propagation and bandwidth) carrying seeded random-walk
+/// traffic of `hops_per_node` hops from each node.
+Run random_fabric(std::uint64_t seed, int hops_per_node);
+
+/// serving_diurnal compressed to one 2 ms diurnal cycle, the lender kill at
+/// its 1 ms peak, 500 us SLO windows.
+scenario::ScenarioSpec compressed_serving();
+
+/// chaos_rack at half duration: every chaos event and the SLO window scale
+/// with the horizon, so all of them still land inside the run.
+scenario::ScenarioSpec compressed_chaos();
+
+struct ServingRun {
+  core::ServingReport report;
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+};
+
+/// Assemble the spec's cluster and run its traffic block.
+ServingRun serve(const scenario::ScenarioSpec& spec);
+
+/// One row of the golden digest table.
+struct Row {
+  std::uint64_t digest = 0;
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+  bool operator==(const Row&) const = default;
+};
+
+Row row_of(const Run& run);
+Row row_of(const ServingRun& run);
+
+/// "<name> <digest hex> <events> <windows>": the table's line format.
+std::string format_row(const std::string& name, const Row& r);
+
+/// The checked-in tests/golden/digests.txt, keyed by run name.  Throws
+/// std::runtime_error on an unreadable file or a malformed or duplicate row.
+std::map<std::string, Row> read_table();
+
+/// The table's line for `name` (format_row of its row), or "" if it has none.
+std::string table_line(const std::string& name);
+
+}  // namespace tfsim::golden
