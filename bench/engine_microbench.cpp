@@ -1,17 +1,22 @@
 // Event-engine hot-path microbenchmark: schedule/fire, cancellation, and
-// nested-reschedule throughput of sim::Engine.
+// nested-reschedule throughput of sim::Engine, the per-node window protocol,
+// and hop-by-hop frame forwarding over a leaf/spine fabric.
 //
 // Emits BENCH_engine.json (google-benchmark JSON, mirrored into
 // $TFSIM_CSV_DIR) unless the caller passes its own --benchmark_out, so CI
 // can archive the perf trajectory of the engine from PR to PR.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "net/network.hpp"
+#include "net/topology.hpp"
 #include "sim/engine.hpp"
 #include "sim/pdes.hpp"
 
@@ -122,6 +127,65 @@ void BM_PdesWindows(benchmark::State& state) {
       static_cast<std::int64_t>(kDomains * (kHops + 1)) * state.iterations());
 }
 BENCHMARK(BM_PdesWindows)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Hop-by-hop forwarding (net::Network::post_routed) on per-node calendars
+// over a 4-leaf/2-spine fabric with 16 hosts: each iteration sends one frame
+// from every host to every other host and runs the windows dry.  Every hop
+// ends in exactly one calendar event (the next hop or the arrival), so the
+// executed events are the hops, and ns_per_hop is the host cost of one
+// switch/link traversal plus its calendar hand-off: the net layer that
+// perfbench's net.host_ns_per_frame times through deliver_ex, on the routed
+// path serving uses.  Network and calendars persist across iterations, so
+// the row measures the warm, allocation-free path.
+void BM_PostRouted(benchmark::State& state) {
+  using tfsim::net::Delivery;
+  using tfsim::net::LeafSpineConfig;
+  using tfsim::net::LeafSpineFabric;
+  using tfsim::net::Network;
+  using tfsim::net::NodeId;
+  using tfsim::sim::ParallelEngine;
+  using tfsim::sim::PdesConfig;
+
+  Network net;
+  std::vector<NodeId> hosts;
+  for (int i = 0; i < 16; ++i) {
+    std::string name = "h";
+    name += std::to_string(i);
+    hosts.push_back(net.add_node(name));
+  }
+  LeafSpineConfig cfg;
+  cfg.leaves = 4;
+  cfg.spines = 2;
+  LeafSpineFabric::build(net, cfg, hosts);
+  ParallelEngine pdes(net.num_nodes(), PdesConfig{1, net.min_propagation()});
+
+  Time last = 0;  // latest arrival: the next batch starts after it
+  std::uint64_t salt = 0;
+  const std::uint64_t first = pdes.executed();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const Time start = last + 1;
+    for (const NodeId src : hosts) {
+      for (const NodeId dst : hosts) {
+        if (src == dst) continue;
+        net.post_routed(pdes, start, src, dst, 1024,
+                        tfsim::sim::Priority::kBulk, ++salt,
+                        [&last](const Delivery& d) {
+                          last = std::max(last, d.arrival);
+                        });
+      }
+    }
+    pdes.run();
+    benchmark::DoNotOptimize(last);
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - t0;
+  const std::uint64_t hops = pdes.executed() - first;
+  state.SetItemsProcessed(static_cast<std::int64_t>(hops));
+  state.counters["ns_per_hop"] =
+      hops == 0 ? 0.0 : elapsed.count() / static_cast<double>(hops);
+}
+BENCHMARK(BM_PostRouted)->UseRealTime();
 
 }  // namespace
 

@@ -6,7 +6,9 @@
 // cross-domain posts landing exactly at the horizon, cancels of a domain's
 // head event, a long-idle domain, and a second run() after setup-time
 // schedules -- must give identical per-domain execution traces and window
-// counts.
+// counts.  A fan-in workload, where several domains post to one sink at one
+// timestamp in the same window, pins the sequencing of same-time arrivals
+// (the posted-source flush against the reference's scan of every outbox).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -238,6 +240,114 @@ TEST(PdesReferenceTest, CachedWindowsMatchScanEveryDomain) {
     ASSERT_FALSE(ref.traces[kIdle].empty()) << "idle domain never woke";
     ASSERT_GT(ref.windows[1], ref.windows[0]) << "second run opened no window";
     const Outcome got = cached(seed);
+    EXPECT_EQ(got.windows, ref.windows);
+    for (std::size_t d = 0; d < kDomains; ++d) {
+      EXPECT_EQ(got.traces[d], ref.traces[d]) << "domain " << d;
+    }
+  }
+}
+
+/// Fan-in workload: every domain keeps a chain alive, and most events send
+/// zero to two posts to one of two sinks, at the window's horizon or one
+/// lookahead past it.  Several sources -- and several sends from one
+/// source -- therefore land on one sink at one timestamp from one window,
+/// and only the flush order sequences them.  Staggered starts leave some
+/// domains without events (and without posts) in the early windows.
+template <class Sched>
+class FanIn {
+ public:
+  static constexpr DomainId kSinks[2] = {0, 3};
+
+  FanIn(Sched& sched, std::uint64_t seed) : sched_(sched) {
+    for (std::size_t d = 0; d < kDomains; ++d) {
+      state_.push_back(State{Rng(seed * 7919 + d), {}, 40, 0});
+    }
+    for (std::size_t d = 0; d < kDomains; ++d) {
+      const auto dom = static_cast<DomainId>(d);
+      const Time start =
+          (d % 3) * kLookahead + state_[d].rng.uniform_u64(kLookahead);
+      sched_.post(dom, dom, start, spawn(dom));
+    }
+  }
+
+  std::vector<Trace> traces() const {
+    std::vector<Trace> out;
+    for (const State& st : state_) out.push_back(st.trace);
+    return out;
+  }
+
+ private:
+  struct State {
+    Rng rng;
+    Trace trace;
+    int budget;
+    std::uint64_t next_tag;
+  };
+
+  /// A callback tagged by the spawning domain `src`; `dst` runs it.
+  Engine::Callback spawn(DomainId src, DomainId dst) {
+    const std::uint64_t tag = (std::uint64_t{src} << 32) | state_[src].next_tag++;
+    return [this, dst, tag] { fire(dst, tag); };
+  }
+  Engine::Callback spawn(DomainId d) { return spawn(d, d); }
+
+  void fire(DomainId d, std::uint64_t tag) {
+    State& st = state_[d];
+    Engine& self = sched_.domain(d);
+    st.trace.emplace_back(self.now(), tag);
+    if (st.budget <= 0) return;
+    --st.budget;
+    const std::uint64_t sends = st.rng.uniform_u64(3);
+    for (std::uint64_t i = 0; i < sends; ++i) {
+      const DomainId sink = kSinks[st.rng.uniform_u64(2)];
+      if (sink == d) continue;
+      const Time at = sched_.horizon() + kLookahead * st.rng.uniform_u64(2);
+      sched_.post(d, sink, at, spawn(d, sink));
+    }
+    self.schedule_at(self.now() + 1 + st.rng.uniform_u64(kLookahead),
+                     spawn(d));
+  }
+
+  Sched& sched_;
+  std::vector<State> state_;
+};
+
+template <class Sched>
+Outcome drive_fan_in(Sched& sched, std::uint64_t seed) {
+  FanIn<Sched> w(sched, seed);
+  sched.run();
+  return Outcome{w.traces(), {sched.windows()}};
+}
+
+/// Timestamps at which one domain ran events spawned by two or more
+/// different source domains.
+std::size_t multi_source_instants(const Trace& trace) {
+  std::size_t instants = 0;
+  for (std::size_t i = 0; i < trace.size();) {
+    std::size_t j = i;
+    bool mixed = false;
+    while (j < trace.size() && trace[j].first == trace[i].first) {
+      mixed = mixed || (trace[j].second >> 32) != (trace[i].second >> 32);
+      ++j;
+    }
+    instants += mixed ? 1 : 0;
+    i = j;
+  }
+  return instants;
+}
+
+TEST(PdesReferenceTest, SameTimeFanInSequencedLikeScanEveryDomain) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(seed);
+    ScanReference ref_sched(kDomains, kLookahead);
+    const Outcome ref = drive_fan_in(ref_sched, seed);
+    // The workload must actually converge: same-time arrivals from several
+    // sources at each sink.
+    for (const DomainId sink : FanIn<ScanReference>::kSinks) {
+      ASSERT_GT(multi_source_instants(ref.traces[sink]), 5u) << "sink " << sink;
+    }
+    ParallelEngine pdes(kDomains, PdesConfig{1, kLookahead});
+    const Outcome got = drive_fan_in(pdes, seed);
     EXPECT_EQ(got.windows, ref.windows);
     for (std::size_t d = 0; d < kDomains; ++d) {
       EXPECT_EQ(got.traces[d], ref.traces[d]) << "domain " << d;
