@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -399,6 +400,32 @@ TEST(PostRoutedTest, MatchesAnalyticDeliveryOnQuietFabric) {
                   [&arrival](const Delivery& d) { arrival = d.arrival; });
   pdes.run();
   EXPECT_EQ(arrival, expected);
+}
+
+TEST(PostRoutedTest, ThrowingHopReleasesItsFrame) {
+  // A lookahead far above the fabric's propagation delay makes the first
+  // hop's cross-domain post land below the horizon, so post() throws.  The
+  // frame's slot must be freed on the way out, dropping on_arrival's
+  // captures, just as discarding a closure that owned the frame would.
+  Network net;
+  std::vector<NodeId> hosts;
+  for (int i = 0; i < 2; ++i) {
+    hosts.push_back(net.add_node("h" + std::to_string(i)));
+  }
+  LeafSpineConfig cfg;
+  cfg.leaves = 1;
+  cfg.spines = 1;
+  LeafSpineFabric::build(net, cfg, hosts);
+  sim::ParallelEngine pdes(net.num_nodes(),
+                           sim::PdesConfig{1, 1000 * net.min_propagation()});
+  const auto token = std::make_shared<int>(0);
+  const auto src = static_cast<sim::DomainId>(hosts[0]);
+  pdes.post(src, src, 0, [&] {
+    net.post_routed(pdes, pdes.domain(src).now(), hosts[0], hosts[1], 64,
+                    sim::Priority::kBulk, 0, [token](const Delivery&) {});
+  });
+  EXPECT_THROW(pdes.run(), std::logic_error);
+  EXPECT_EQ(token.use_count(), 1) << "the failed frame still holds its slot";
 }
 
 TEST(PostRoutedTest, ByteIdenticalAcrossThreadCounts) {
