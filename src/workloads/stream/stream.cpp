@@ -138,6 +138,7 @@ StreamResult Stream::run() {
       kr.bandwidth_gbps =
           static_cast<double>(kr.bytes) / sim::to_sec(kr.elapsed) / 1e9;
       kr.avg_latency_us = ctx.stats().miss_latency_us.mean();
+      kr.context = ctx.stats();
       result.total_elapsed += kr.elapsed;
       if (rep + 1 == cfg_.repetitions) {
         result.kernels.push_back(kr);

@@ -36,6 +36,7 @@ struct StreamKernelResult {
   double bandwidth_gbps = 0.0;      ///< bytes / elapsed, GB/s
   double avg_latency_us = 0.0;      ///< mean remote-access latency observed
   bool validated = false;
+  node::ContextStats context;       ///< the kernel's context, after drain()
 };
 
 struct StreamResult {

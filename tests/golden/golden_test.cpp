@@ -87,6 +87,20 @@ std::vector<std::pair<std::string, Producer>> reference_runs() {
     runs.emplace_back("random_fabric/seed=" + std::to_string(seed) + "/hops=60",
                       [seed] { return row_of(random_fabric(seed, 60)); });
   }
+  // Closed-loop miss path on paper_twonode: MSHR slots, the NIC window and
+  // the injector at the paper's PERIOD extremes, local misses freeing
+  // slots out of issue order, and both window classes.
+  for (const std::uint64_t period : {1ull, 64ull}) {
+    runs.emplace_back(
+        "closed_stream/period=" + std::to_string(period) + "/elements=1500000",
+        [period] { return row_of(closed_stream(period, 1'500'000)); });
+  }
+  runs.emplace_back("closed_bfs/scale=13/period=64",
+                    [] { return row_of(closed_bfs(13, 64)); });
+  runs.emplace_back("closed_mixed/lines=100000",
+                    [] { return row_of(closed_mixed(100'000)); });
+  runs.emplace_back("closed_qos/reserved=16/lines=40000",
+                    [] { return row_of(closed_qos(40'000)); });
   runs.emplace_back(
       "calendar_ring/domains=16/lookahead=300/seed=12648430/chain=40",
       [] { return row_of(calendar_ring(16, 300, 0xC0FFEE, 40)); });

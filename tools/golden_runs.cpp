@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "sim/engine.hpp"
 #include "sim/pdes.hpp"
 #include "sim/rng.hpp"
+#include "workloads/graph500/graph500.hpp"
+#include "workloads/stream/stream.hpp"
 
 namespace tfsim::golden {
 
@@ -42,6 +45,66 @@ Run finish(const sim::ParallelEngine& pdes, std::ostringstream& os) {
   r.serialized = os.str();
   r.events = pdes.executed();
   r.windows = pdes.windows();
+  return r;
+}
+
+/// A double's exact bits, as a C99 hex-float.
+std::string exact(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+void put(std::ostream& os, const sim::OnlineStats& s) {
+  os << s.count() << "/" << exact(s.mean()) << "/" << exact(s.variance())
+     << "/" << exact(s.min()) << "/" << exact(s.max());
+}
+
+void put(std::ostream& os, const node::ContextStats& s) {
+  os << "acc=" << s.accesses << " hits=";
+  for (const std::uint64_t h : s.level_hits) os << h << ",";
+  os << " local=" << s.local_misses << " remote=" << s.remote_misses
+     << " wb=" << s.posted_writebacks << " fail=" << s.failures
+     << " stall=" << s.stall_time << " compute=" << s.compute_time
+     << " lat=";
+  put(os, s.miss_latency_us);
+  os << ";";
+}
+
+/// paper_twonode at `period`, remote memory attached.
+std::unique_ptr<node::Cluster> twonode(std::uint64_t period,
+                                       std::uint32_t latency_reserved = 0) {
+  auto spec = *scenario::builtin("paper_twonode");
+  spec.injector.period = period;
+  spec.nodes[0].nic.latency_reserved_entries = latency_reserved;
+  auto cluster = std::make_unique<node::Cluster>(spec);
+  if (!cluster->attach_remote()) {
+    throw std::runtime_error("paper_twonode: remote memory failed to attach");
+  }
+  return cluster;
+}
+
+/// The borrower NIC's counts, window, injector and latency histogram, the
+/// lender DRAM's load, and the shared calendar's clock.
+Run finish_closed(node::Cluster& cluster, std::ostringstream& os) {
+  nic::DisaggNic& nic = cluster.borrower().nic();
+  const sim::Histogram& h = nic.latency_us();
+  os << "nic r=" << nic.reads() << " w=" << nic.writes()
+     << " fail=" << nic.failures() << " out=" << nic.wire_bytes_out()
+     << " in=" << nic.wire_bytes_in() << " stalls=" << nic.window().stalls()
+     << " inflight=" << nic.window().in_flight() << " occ=";
+  put(os, nic.window().occupancy_stats());
+  os << " gate=";
+  put(os, nic.injector().added_delay());
+  os << " lat=" << h.count() << "/" << exact(h.min()) << "/"
+     << exact(h.mean()) << "/" << exact(h.p50()) << "/" << exact(h.p99())
+     << "/" << exact(h.p999()) << "/" << exact(h.max()) << ";";
+  const mem::Dram& lender = cluster.lender().dram();
+  os << "lender " << lender.requests() << "/" << lender.bytes_served() << "/"
+     << lender.busy_time() << ";now=" << cluster.engine().now();
+  Run r;
+  r.serialized = os.str();
+  r.events = cluster.engine().executed();
   return r;
 }
 
@@ -293,6 +356,92 @@ Run random_fabric(std::uint64_t seed, int hops_per_node) {
     }
   }
   return finish(pdes, os);
+}
+
+Run closed_stream(std::uint64_t period, std::uint64_t elements) {
+  auto cluster = twonode(period);
+  workloads::StreamConfig cfg;
+  cfg.elements = elements;
+  cfg.placement = node::Placement::kRemote;
+  workloads::Stream stream(cluster->borrower(), cfg);
+  const workloads::StreamResult res = stream.run();
+  std::ostringstream os;
+  os << "valid=" << res.validated << ";";
+  for (const auto& k : res.kernels) {
+    os << k.kernel << " t=" << k.elapsed << " ";
+    put(os, k.context);
+  }
+  return finish_closed(*cluster, os);
+}
+
+Run closed_bfs(std::uint32_t scale, std::uint64_t period) {
+  auto cluster = twonode(period);
+  workloads::g500::Graph500Config cfg;
+  cfg.gen.scale = scale;
+  cfg.gen.edgefactor = 16;
+  workloads::g500::Graph500 graph(cluster->borrower(), cfg);
+  const sim::Time construction = graph.run_construction();
+  const auto bfs = graph.run_bfs(1);
+  std::ostringstream os;
+  os << "k1=" << construction << " bfs=" << bfs.elapsed
+     << " visited=" << bfs.vertices_visited
+     << " edges=" << bfs.edges_traversed << " parents="
+     << core::fnv1a(std::string(
+            reinterpret_cast<const char*>(bfs.parent.data()),
+            bfs.parent.size() * sizeof(bfs.parent[0])))
+     << ";";
+  return finish_closed(*cluster, os);
+}
+
+Run closed_mixed(std::uint64_t lines) {
+  auto cluster = twonode(1);
+  node::Node& borrower = cluster->borrower();
+  const std::uint64_t bytes = lines * mem::kCacheLineBytes;
+  const mem::Addr remote = borrower.allocate(bytes, node::Placement::kRemote);
+  const mem::Addr local = borrower.allocate(bytes, node::Placement::kLocal);
+  node::MemContext ctx = cluster->make_context(
+      node::CpuConfig{/*mlp=*/16, sim::from_ns(0.3)}, "mixed");
+  for (std::uint64_t i = 0; i < lines; ++i) {
+    const mem::Addr off = i * mem::kCacheLineBytes;
+    ctx.read(remote + off);
+    ctx.write(local + off);
+    if (i % 64 == 63) ctx.read(remote + off / 2, /*dependent=*/true);
+  }
+  ctx.drain();
+  std::ostringstream os;
+  put(os, ctx.stats());
+  return finish_closed(*cluster, os);
+}
+
+Run closed_qos(std::uint64_t lines) {
+  auto cluster = twonode(1, /*latency_reserved=*/16);
+  node::Node& borrower = cluster->borrower();
+  const std::uint64_t bytes = lines * mem::kCacheLineBytes;
+  const mem::Addr bulk_base =
+      borrower.allocate(bytes, node::Placement::kRemote);
+  const mem::Addr probe_base =
+      borrower.allocate(bytes, node::Placement::kRemote);
+  node::MemContext bulk = cluster->make_context(
+      node::CpuConfig{/*mlp=*/128, sim::from_ns(0.05)}, "bulk");
+  node::MemContext probe = cluster->make_context(
+      node::CpuConfig{/*mlp=*/32, sim::from_ns(0.05), sim::Priority::kLatency},
+      "probe");
+  // The context whose clock is behind issues next (ties go to bulk).
+  std::uint64_t b = 0;
+  std::uint64_t p = 0;
+  while (b < lines || p < lines) {
+    if (p >= lines || (b < lines && bulk.now() <= probe.now())) {
+      bulk.write(bulk_base + b++ * mem::kCacheLineBytes);
+    } else {
+      probe.read(probe_base + p++ * mem::kCacheLineBytes);
+    }
+  }
+  bulk.drain();
+  probe.drain();
+  std::ostringstream os;
+  put(os, bulk.stats());
+  put(os, probe.stats());
+  return finish_closed(*cluster, os);
 }
 
 scenario::ScenarioSpec compressed_serving() {

@@ -44,6 +44,30 @@ Run leafspine_fabric(std::uint64_t seed);
 /// traffic of `hops_per_node` hops from each node.
 Run random_fabric(std::uint64_t seed, int hops_per_node);
 
+// --- closed-loop runs on scenarios/paper_twonode (shared calendar) --------
+//
+// Each serializes the per-context ContextStats (stall and compute time, the
+// miss-latency moments), the borrower NIC's counts, request-window stalls
+// and occupancy, the latency histogram summary and the lender DRAM's load.
+
+/// STREAM with its arrays in remote memory at injector PERIOD `period`,
+/// `elements` doubles per array: the four kernel times and contexts.
+Run closed_stream(std::uint64_t period, std::uint64_t elements);
+
+/// Graph500 kernel-1 replay plus BFS from root 1 on a scale-`scale`,
+/// edgefactor-16 graph in remote memory at injector PERIOD `period`.
+Run closed_bfs(std::uint32_t scale, std::uint64_t period);
+
+/// One context streaming `lines` lines of a remote and of a local array in
+/// lockstep: every local miss is issued after remote misses yet completes
+/// first, so MSHR slots free out of issue order.
+Run closed_mixed(std::uint64_t lines);
+
+/// A NIC with 16 of its 129 window entries reserved for the latency class,
+/// shared by a bulk and a latency-class context (`lines` remote lines each,
+/// interleaved by context clock): both window classes fill and stall.
+Run closed_qos(std::uint64_t lines);
+
 /// serving_diurnal compressed to one 2 ms diurnal cycle, the lender kill at
 /// its 1 ms peak, 500 us SLO windows.
 scenario::ScenarioSpec compressed_serving();
