@@ -1,6 +1,8 @@
 // Event-engine hot-path microbenchmark: schedule/fire, cancellation, and
 // nested-reschedule throughput of sim::Engine, the per-node window protocol,
-// and hop-by-hop frame forwarding over a leaf/spine fabric.
+// hop-by-hop frame forwarding over a leaf/spine fabric, and the two layers
+// of the closed-loop miss path: an all-miss walk of the cache hierarchy and
+// a saturated NIC transaction.
 //
 // Emits BENCH_engine.json (google-benchmark JSON, mirrored into
 // $TFSIM_CSV_DIR) unless the caller passes its own --benchmark_out, so CI
@@ -15,8 +17,11 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "mem/dram.hpp"
+#include "mem/hierarchy.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
+#include "nic/nic.hpp"
 #include "sim/engine.hpp"
 #include "sim/pdes.hpp"
 
@@ -186,6 +191,72 @@ void BM_PostRouted(benchmark::State& state) {
       hops == 0 ? 0.0 : elapsed.count() / static_cast<double>(hops);
 }
 BENCHMARK(BM_PostRouted)->UseRealTime();
+
+// The POWER9-like L1/L2/L3 hierarchy under STREAM copy's access pattern
+// (read a line of one array, write the same line of another) with the
+// arrays never revisited: every access misses all three levels, allocates
+// in each and, once the L3 is full, evicts a dirty victim half the time.
+// The mem layer perfbench's mem.host_ns_per_access times, on the all-miss
+// path stream_remote drives.
+void BM_HierarchyMiss(benchmark::State& state) {
+  using tfsim::mem::Addr;
+  using tfsim::mem::kCacheLineBytes;
+  tfsim::mem::CacheHierarchy caches(tfsim::mem::power9_like_hierarchy());
+  constexpr Addr kDst = Addr{1} << 40;  // second array, far above the first
+  Addr line = 0;
+  std::uint64_t accesses = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 1024; ++i, line += kCacheLineBytes) {
+      benchmark::DoNotOptimize(caches.access(line, false));
+      benchmark::DoNotOptimize(caches.access(kDst + line, true));
+    }
+    accesses += 2048;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+}
+BENCHMARK(BM_HierarchyMiss);
+
+// DisaggNic::remote_access at PERIOD 1 with the request window saturated:
+// each read arrives when the window grants the previous one, so every
+// admission waits for the earliest completion (window, injector, two link
+// crossings, lender DRAM).  The nic layer perfbench's nic.host_ns_per_tx
+// times.
+void BM_NicRemoteAccess(benchmark::State& state) {
+  using tfsim::nic::DisaggNic;
+  using tfsim::nic::NicConfig;
+  tfsim::net::Network network;
+  const auto self = network.add_node("borrower");
+  const auto lender = network.add_node("lender");
+  network.connect(self, lender, tfsim::net::LinkConfig{});
+  network.connect(lender, self, tfsim::net::LinkConfig{});
+  tfsim::mem::Dram lender_dram{tfsim::mem::DramConfig{}};
+  const NicConfig cfg;
+  DisaggNic nic(cfg, network, self);
+  nic.register_lender(1, lender, &lender_dram);
+  constexpr tfsim::mem::Addr kBase = 0x1000'0000;
+  constexpr std::uint64_t kSpan = 64 * tfsim::sim::kMiB;
+  nic.translator().add_segment(tfsim::nic::Segment{
+      tfsim::mem::Range{kBase, kSpan}, 0, 1, "bench"});
+  if (!nic.attach()) {
+    state.SkipWithError("NIC failed to attach");
+    return;
+  }
+  Time now = 0;
+  std::uint64_t offset = 0;
+  for (auto _ : state) {
+    const auto t = nic.remote_access(now, kBase + offset, false);
+    if (!t.has_value()) {
+      state.SkipWithError("remote access failed");
+      return;
+    }
+    now = t->admitted - cfg.processing_latency;
+    offset = (offset + tfsim::mem::kCacheLineBytes) % kSpan;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(nic.reads()));
+  state.counters["window_stalls"] =
+      static_cast<double>(nic.window().stalls());
+}
+BENCHMARK(BM_NicRemoteAccess);
 
 }  // namespace
 

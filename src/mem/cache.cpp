@@ -1,6 +1,7 @@
 #include "mem/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace tfsim::mem {
@@ -20,10 +21,17 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg, std::string name)
   if (cfg_.size_bytes % (static_cast<std::uint64_t>(cfg_.associativity) * cfg_.line_bytes) != 0) {
     throw std::invalid_argument("cache size must divide into sets evenly");
   }
+  line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.line_bytes));
+  pow2_sets_ = std::has_single_bit(sets_count_);
+  if (pow2_sets_) {
+    set_shift_ = static_cast<unsigned>(std::countr_zero(sets_count_));
+    set_mask_ = sets_count_ - 1;
+  }
+  lru_replacement_ = cfg_.replacement == Replacement::kLru;
   const std::size_t ways = sets_count_ * cfg_.associativity;
   keys_.assign(ways, 0);
   dirty_.assign(ways, 0);
-  lru_.assign(ways, 0);
+  if (lru_replacement_) lru_.assign(ways, 0);
 }
 
 void SetAssocCache::reset_sets() {
@@ -35,14 +43,12 @@ void SetAssocCache::reset_sets() {
 void SetAssocCache::drop_way(std::size_t way) {
   keys_[way] = 0;
   dirty_[way] = 0;
-  lru_[way] = 0;
+  if (lru_replacement_) lru_[way] = 0;
   ++stats_.invalidations;
 }
 
 SetAssocCache::AccessResult SetAssocCache::access(Addr addr, bool write) {
-  const Addr line = line_base(addr, cfg_.line_bytes);
-  const std::uint64_t set = set_index(line);
-  const Addr key = key_of(line);
+  const auto [set, key] = locate(addr);
   const std::uint32_t assoc = cfg_.associativity;
   const std::size_t base = set * assoc;
   const Addr* keys = &keys_[base];
@@ -51,7 +57,7 @@ SetAssocCache::AccessResult SetAssocCache::access(Addr addr, bool write) {
   std::uint32_t invalid = assoc;  // first invalid way, if any
   for (std::uint32_t i = 0; i < assoc; ++i) {
     if (keys[i] == key) {
-      lru_[base + i] = clock_;
+      if (lru_replacement_) lru_[base + i] = clock_;
       if (write) dirty_[base + i] = 1;
       ++stats_.hits;
       return AccessResult{true, false, 0};
@@ -70,10 +76,15 @@ SetAssocCache::AccessResult SetAssocCache::access(Addr addr, bool write) {
       victim_seed_ ^= victim_seed_ << 17;
       victim = static_cast<std::uint32_t>(victim_seed_ % assoc);
     } else {
+      // First minimum; the running minimum stays in a register, so the
+      // scan has no load on its dependency chain and no branch per way.
       const std::uint64_t* lru = &lru_[base];
+      std::uint64_t oldest = lru[0];
       victim = 0;
       for (std::uint32_t i = 1; i < assoc; ++i) {
-        if (lru[i] < lru[victim]) victim = i;
+        const bool older = lru[i] < oldest;
+        oldest = older ? lru[i] : oldest;
+        victim = older ? i : victim;
       }
     }
   }
@@ -88,22 +99,20 @@ SetAssocCache::AccessResult SetAssocCache::access(Addr addr, bool write) {
   }
   keys_[way] = key;
   dirty_[way] = static_cast<std::uint8_t>(write);
-  lru_[way] = clock_;
+  if (lru_replacement_) lru_[way] = clock_;
   return res;
 }
 
 bool SetAssocCache::probe(Addr addr) const {
-  const Addr line = line_base(addr, cfg_.line_bytes);
-  const Addr key = key_of(line);
-  const Addr* keys = &keys_[set_index(line) * cfg_.associativity];
+  const auto [set, key] = locate(addr);
+  const Addr* keys = &keys_[set * cfg_.associativity];
   return std::find(keys, keys + cfg_.associativity, key) !=
          keys + cfg_.associativity;
 }
 
 bool SetAssocCache::invalidate(Addr addr, bool* was_dirty) {
-  const Addr line = line_base(addr, cfg_.line_bytes);
-  const Addr key = key_of(line);
-  const std::size_t base = set_index(line) * cfg_.associativity;
+  const auto [set, key] = locate(addr);
+  const std::size_t base = set * cfg_.associativity;
   for (std::uint32_t i = 0; i < cfg_.associativity; ++i) {
     if (keys_[base + i] == key) {
       if (was_dirty != nullptr) *was_dirty = dirty_[base + i] != 0;

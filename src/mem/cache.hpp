@@ -71,11 +71,20 @@ class SetAssocCache {
   std::uint64_t resident_lines() const;
 
  private:
-  std::uint64_t set_index(Addr line) const { return (line / cfg_.line_bytes) % sets_count_; }
-  /// Way key of a line: its tag plus one, so 0 marks an invalid way.
-  Addr key_of(Addr line) const { return line / cfg_.line_bytes / sets_count_ + 1; }
+  /// Where a line lives: its set and its way key (tag plus one, so 0 marks
+  /// an invalid way).
+  struct Slot {
+    std::uint64_t set;
+    Addr key;
+  };
+  Slot locate(Addr addr) const {
+    const Addr line_no = addr >> line_shift_;
+    if (pow2_sets_) return {line_no & set_mask_, (line_no >> set_shift_) + 1};
+    const Addr tag = line_no / sets_count_;
+    return {line_no - tag * sets_count_, tag + 1};
+  }
   Addr line_from(std::uint64_t set, Addr key) const {
-    return ((key - 1) * sets_count_ + set) * cfg_.line_bytes;
+    return ((key - 1) * sets_count_ + set) << line_shift_;
   }
   void drop_way(std::size_t way);
   void reset_sets();
@@ -83,8 +92,17 @@ class SetAssocCache {
   CacheConfig cfg_;
   std::string name_;
   std::uint64_t sets_count_ = 0;
+  // Line size is a power of two, so the line number is a shift; a
+  // power-of-two set count also makes the set index a mask and the tag a
+  // shift.  Other set counts take one division.
+  unsigned line_shift_ = 0;
+  bool pow2_sets_ = false;
+  unsigned set_shift_ = 0;
+  std::uint64_t set_mask_ = 0;
+  bool lru_replacement_ = false;
   // Per-way state, sets_count_ x associativity, row-major.  The lookup scans
   // only the packed keys; dirty bits and LRU stamps are read on hit/evict.
+  // Random replacement never reads the stamps, so lru_ stays empty there.
   std::vector<Addr> keys_;            ///< tag + 1; 0 = invalid
   std::vector<std::uint8_t> dirty_;
   std::vector<std::uint64_t> lru_;    ///< last-touch stamp; smallest = LRU victim

@@ -141,14 +141,15 @@ std::optional<sim::Time> DisaggNic::attempt_once(sim::Time depart,
   {
     const sim::DomainHandle& ld = lender.dram->tfsim_domain();
     const sim::DomainGuard g(ld.checker(), ld.id(), "net:deliver");
-    t.mem_done = lender.dram->access(req.arrival + lender.nic_latency,
-                                     mem::kCacheLineBytes, prio);
+    t.mem_done = lender.dram->access(
+        sim::checked_add(req.arrival, lender.nic_latency, "DisaggNic: lender"),
+        mem::kCacheLineBytes, prio);
   }
   // 5. Response path (data-carrying for reads).
   const std::uint64_t resp_bytes = write ? kCmdOnlyBytes : kDataBytes;
-  const auto resp = network_.deliver_ex(t.mem_done + lender.nic_latency,
-                                        lender.node, self_, resp_bytes, prio,
-                                        attempt);
+  const auto resp = network_.deliver_ex(
+      sim::checked_add(t.mem_done, lender.nic_latency, "DisaggNic: lender"),
+      lender.node, self_, resp_bytes, prio, attempt);
   if (resp.outcome == net::FaultOutcome::kLost ||
       resp.outcome == net::FaultOutcome::kFlapDropped ||
       resp.outcome == net::FaultOutcome::kSwitchDropped) {
@@ -201,7 +202,8 @@ std::optional<AccessTrace> DisaggNic::remote_access(sim::Time now,
   AccessTrace t;
   t.issued = now;
   // 1. Window admission (stall while all MSHR entries are in flight).
-  t.admitted = window_.admission_time(now, prio) + cfg_.processing_latency;
+  t.admitted = sim::checked_add(window_.admission_time(now, prio),
+                               cfg_.processing_latency, "DisaggNic: request");
   // Protocol bookkeeping: the transaction holds one TL credit and one
   // response-matching tag for its whole life, retries included; both must
   // come home on every exit path (check_quiesced asserts they did).
@@ -224,7 +226,8 @@ std::optional<AccessTrace> DisaggNic::remote_access(sim::Time now,
     if (attempt == 0) t.gate_out = gate;
     const auto done = attempt_once(gate, lender, write, prio, attempt, t);
     if (done.has_value()) {
-      t.completion = *done + cfg_.processing_latency;
+      t.completion =
+          sim::checked_add(*done, cfg_.processing_latency, "DisaggNic: response");
       t.retries = attempt;
       if (attempt > 0) replay_.count_recovered();
       lender.consecutive_abandons = 0;

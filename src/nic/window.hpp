@@ -4,8 +4,9 @@
 // LLC miss stalls once the window is full.  Because completions free slots
 // in time order, the window reduces to a multiset of completion times per
 // class: an arrival when full is admitted exactly when the earliest
-// in-flight request completes.  Each multiset is a vector min-heap, so a
-// transaction allocates nothing once the vectors reach window size.
+// in-flight request completes.  Each multiset is a sim::CompletionRing
+// sized to the window, so a transaction allocates nothing and an in-order
+// completion costs no reordering at all.
 // window entries x cache line is the bandwidth-delay product the paper
 // measures as constant (~16.5 kB, Fig. 3).
 //
@@ -14,12 +15,10 @@
 // (the MSHR-partitioning analogue of network packet prioritization).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
-#include <vector>
 
+#include "sim/completion_ring.hpp"
 #include "sim/server.hpp"
 #include "sim/stats.hpp"
 #include "sim/units.hpp"
@@ -30,7 +29,10 @@ class RequestWindow {
  public:
   explicit RequestWindow(std::uint32_t entries,
                          std::uint32_t latency_reserved = 0)
-      : entries_(entries), latency_reserved_(latency_reserved) {
+      : entries_(entries),
+        latency_reserved_(latency_reserved),
+        bulk_(entries),
+        latency_(entries) {
     if (entries_ == 0) {
       throw std::invalid_argument("RequestWindow: needs >= 1 entry");
     }
@@ -56,7 +58,7 @@ class RequestWindow {
       const std::size_t bulk_cap = entries_ - latency_reserved_;
       if (bulk_.size() >= bulk_cap) {
         ++stalls_;
-        return take_earliest(bulk_);
+        return bulk_.take_front();
       }
     }
     if (bulk_.size() + latency_.size() >= entries_) {
@@ -66,7 +68,7 @@ class RequestWindow {
            (latency_.empty() || bulk_.front() <= latency_.front()))
               ? bulk_
               : latency_;
-      return take_earliest(victim);
+      return victim.take_front();
     }
     return now;
   }
@@ -76,8 +78,7 @@ class RequestWindow {
   void record_completion(sim::Time completion,
                          sim::Priority prio = sim::Priority::kBulk) {
     auto& mine = prio == sim::Priority::kBulk ? bulk_ : latency_;
-    mine.push_back(completion);
-    std::push_heap(mine.begin(), mine.end(), std::greater<>{});
+    mine.insert(completion);
     occupancy_.add(static_cast<double>(bulk_.size() + latency_.size()));
   }
 
@@ -89,23 +90,17 @@ class RequestWindow {
   const sim::OnlineStats& occupancy_stats() const { return occupancy_; }
 
  private:
-  /// Min-heap of completion times (front() is the earliest).
-  using TimeHeap = std::vector<sim::Time>;
-
-  static void retire(sim::Time now, TimeHeap& heap) {
-    while (!heap.empty() && heap.front() <= now) take_earliest(heap);
-  }
-  static sim::Time take_earliest(TimeHeap& heap) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    const sim::Time t = heap.back();
-    heap.pop_back();
-    return t;
+  static void retire(sim::Time now, sim::CompletionRing& ring) {
+    while (!ring.empty() && ring.front() <= now) ring.pop_front();
   }
 
   std::uint32_t entries_;
   std::uint32_t latency_reserved_;
-  TimeHeap bulk_;
-  TimeHeap latency_;
+  // Completion times per class, earliest first.  Either class may hold the
+  // whole window (the reservation is a floor for the latency class), so
+  // each ring is sized for all of it.
+  sim::CompletionRing bulk_;
+  sim::CompletionRing latency_;
   std::uint64_t stalls_ = 0;
   sim::OnlineStats occupancy_;
 };

@@ -1,25 +1,28 @@
 #include "node/context.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace tfsim::node {
 
 MemContext::MemContext(Node& node, CpuConfig cfg, std::string name)
-    : node_(node), cfg_(cfg), name_(std::move(name)) {
+    : node_(node), cfg_(cfg), name_(std::move(name)), outstanding_(cfg.mlp) {
+  if (cfg_.mlp == 0) {
+    throw std::invalid_argument("MemContext: mlp must be at least 1");
+  }
   stats_.level_hits.resize(node.caches().num_levels(), 0);
 }
 
 void MemContext::seek(sim::Time t) { now_ = std::max(now_, t); }
 
 void MemContext::advance(sim::Time dt) {
-  now_ += dt;
+  now_ = sim::checked_add(now_, dt, "MemContext::advance");
   stats_.compute_time += dt;
 }
 
 void MemContext::reserve_slot() {
   if (outstanding_.size() < cfg_.mlp) return;
-  const sim::Time free_at = outstanding_.top();
-  outstanding_.pop();
+  const sim::Time free_at = outstanding_.take_front();
   if (free_at > now_) {
     stats_.stall_time += free_at - now_;
     now_ = free_at;
@@ -72,7 +75,7 @@ void MemContext::posted_writeback(mem::Addr line) {
 
 void MemContext::access(mem::Addr addr, bool write, bool dependent) {
   ++stats_.accesses;
-  now_ += cfg_.issue_cost;
+  now_ = sim::checked_add(now_, cfg_.issue_cost, "MemContext::access");
 
   // Domain guards are scoped tightly around the calls that mutate this
   // node's state, never around sync_engine(): engine callbacks belong to
@@ -105,7 +108,7 @@ void MemContext::access(mem::Addr addr, bool write, bool dependent) {
   }();
   stats_.miss_latency_us.add(sim::to_us(done - issued));
   if (!dependent) {
-    outstanding_.push(done);
+    outstanding_.insert(done);
   } else if (done > now_) {
     stats_.stall_time += done - now_;
     now_ = done;
@@ -122,8 +125,7 @@ void MemContext::stream(mem::Addr addr, std::uint64_t bytes, bool write) {
 
 sim::Time MemContext::drain() {
   while (!outstanding_.empty()) {
-    const sim::Time t = outstanding_.top();
-    outstanding_.pop();
+    const sim::Time t = outstanding_.take_front();
     if (t > now_) {
       stats_.stall_time += t - now_;
       now_ = t;

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace tfsim::sim {
 
@@ -21,6 +23,23 @@ inline constexpr Time kSecond = 1'000'000'000'000ULL;
 
 /// A time far in the future; used as "never" / infinity sentinel.
 inline constexpr Time kTimeNever = ~Time{0};
+
+/// Throws the overflow error of checked_add; kept out of line so the
+/// callers' hot paths carry only the compare.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_time_overflow(
+    const char* what, Time t, Time dt) {
+  throw std::logic_error(std::string(what) +
+                         ": t + dt overflows simulated time (t=" +
+                         std::to_string(t) + " ps, dt=" + std::to_string(dt) +
+                         " ps)");
+}
+
+/// t + dt, throwing std::logic_error (naming `what`) instead of wrapping
+/// past kTimeNever, as Engine::schedule_in does.
+inline Time checked_add(Time t, Time dt, const char* what) {
+  if (dt > kTimeNever - t) throw_time_overflow(what, t, dt);
+  return t + dt;
+}
 
 constexpr double to_ns(Time t) { return static_cast<double>(t) / static_cast<double>(kNanosecond); }
 constexpr double to_us(Time t) { return static_cast<double>(t) / static_cast<double>(kMicrosecond); }

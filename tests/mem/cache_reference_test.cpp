@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "mem/cache.hpp"
+#include "mem/hierarchy.hpp"
 #include "sim/rng.hpp"
 
 namespace tfsim::mem {
@@ -144,7 +145,11 @@ void expect_same_stats(const CacheStats& a, const CacheStats& b) {
   EXPECT_EQ(a.invalidations, b.invalidations);
 }
 
-void run_stream(const CacheConfig& cfg, std::uint64_t seed) {
+/// `steps` random operations.  Flushes and range invalidations empty or
+/// walk the whole cache, so for a large cache `rare` makes them that many
+/// times less frequent and the cache can fill up.
+void run_stream(const CacheConfig& cfg, std::uint64_t seed, int steps = 20000,
+                std::uint64_t rare = 1) {
   SCOPED_TRACE("seed=" + std::to_string(seed) + " sets=" +
                std::to_string(cfg.num_sets()) + " ways=" +
                std::to_string(cfg.associativity));
@@ -154,11 +159,14 @@ void run_stream(const CacheConfig& cfg, std::uint64_t seed) {
   // A footprint of 4x the capacity: hits, conflict evictions and dirty
   // victims are all common.  Address 0 is included, so tag 0 is exercised.
   const std::uint64_t footprint_lines = 4 * cfg.num_lines();
-  for (int step = 0; step < 20000; ++step) {
+  for (int step = 0; step < steps; ++step) {
     const Addr addr =
         rng.uniform_u64(footprint_lines) * cfg.line_bytes +
         rng.uniform_u64(cfg.line_bytes);
-    const std::uint64_t op = rng.uniform_u64(1000);
+    std::uint64_t op = rng.uniform_u64(1000);
+    if (rare > 1 && op >= 40 && op < 46 && rng.uniform_u64(rare) != 0) {
+      op = 100;  // an access instead
+    }
     if (op < 40) {
       bool dirty_a = false;
       bool dirty_b = true;
@@ -200,6 +208,31 @@ TEST(CacheReferenceTest, LruMatchesWayStructModel) {
     run_stream(CacheConfig{2048, 4, 64, Replacement::kLru}, seed);
     run_stream(CacheConfig{3840, 5, 64, Replacement::kLru}, seed);
   }
+}
+
+// Both indexing paths at their edges: one and two sets (mask 0 and 1,
+// shift 0 and 1) on the power-of-two path, and a non-power-of-two set
+// count with 128 B lines on the division path.
+TEST(CacheReferenceTest, EdgeGeometriesMatchWayStructModel) {
+  for (const Replacement r : {Replacement::kLru, Replacement::kRandom}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      run_stream(CacheConfig{1 * 4 * 64, 4, 64, r}, seed);
+      run_stream(CacheConfig{2 * 4 * 64, 4, 64, r}, seed);
+      run_stream(CacheConfig{1 * 8 * 128, 8, 128, r}, seed);
+      run_stream(CacheConfig{12 * 5 * 128, 5, 128, r}, seed);
+      run_stream(CacheConfig{7 * 3 * 128, 3, 128, r}, seed);
+    }
+  }
+}
+
+// The production L3 (power9_like_hierarchy: 4096 sets x 20 ways x 128 B,
+// random replacement, no LRU stamps), filled past capacity.
+TEST(CacheReferenceTest, ProductionL3MatchesWayStructModel) {
+  const CacheConfig l3 = power9_like_hierarchy().back().cache;
+  ASSERT_EQ(l3.num_sets(), 4096u);
+  ASSERT_EQ(l3.associativity, 20u);
+  ASSERT_EQ(l3.replacement, Replacement::kRandom);
+  run_stream(l3, 7, 250'000, 200);
 }
 
 TEST(CacheReferenceTest, RandomMatchesWayStructModel) {

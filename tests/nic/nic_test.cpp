@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "mem/dram.hpp"
 #include "net/network.hpp"
@@ -256,13 +257,15 @@ struct NicFixture {
   mem::Dram lender_dram{mem::DramConfig{}};
   std::unique_ptr<DisaggNic> nic;
 
-  explicit NicFixture(std::uint64_t period = 1) {
+  explicit NicFixture(std::uint64_t period = 1,
+                      sim::Time processing = NicConfig{}.processing_latency) {
     self = network.add_node("borrower");
     lender_node = network.add_node("lender");
     network.connect(self, lender_node, net::LinkConfig{});
     network.connect(lender_node, self, net::LinkConfig{});
     NicConfig cfg;
     cfg.period = period;
+    cfg.processing_latency = processing;
     nic = std::make_unique<DisaggNic>(cfg, network, self);
     nic->register_lender(7, lender_node, &lender_dram);
     nic->translator().add_segment(
@@ -290,6 +293,20 @@ TEST(NicTest, VanillaLatencyIsMicrosecondScale) {
   const double us = sim::to_us(t->completion - t->issued);
   EXPECT_GT(us, 0.5);
   EXPECT_LT(us, 2.5) << "ThymesisFlow-class unloaded latency";
+}
+
+// The NIC's fixed processing cost is added on the way out and on the way
+// back; either add throws instead of wrapping simulated time.
+TEST(NicTest, ProcessingLatencyPastTheEndOfTimeThrows) {
+  constexpr sim::Time kHalf = sim::kTimeNever / 2;
+  NicFixture out(1, kHalf);
+  EXPECT_THROW(out.nic->remote_access(kHalf + 2, 0x1000'0000, false),
+               std::logic_error)
+      << "request side: admission + processing wraps";
+  NicFixture back(1, kHalf);
+  EXPECT_THROW(back.nic->remote_access(0, 0x1000'0000, false),
+               std::logic_error)
+      << "response side: arrival + processing wraps";
 }
 
 TEST(NicTest, UnmappedAddressFails) {

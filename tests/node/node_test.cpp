@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <new>
+#include <stdexcept>
 
 #include "node/context.hpp"
 #include "node/node.hpp"
@@ -183,6 +184,50 @@ TEST(ContextTest, LocalAccessesDoNotTouchNic) {
   EXPECT_EQ(ctx.stats().remote_misses, 0u);
   EXPECT_EQ(ctx.stats().local_misses, 100u);
   EXPECT_EQ(f.tb.borrower().nic().reads(), 0u);
+}
+
+TEST(ContextTest, LocalMissIssuedBehindRemoteMissesFreesItsSlotFirst) {
+  // Two MSHR slots: a remote miss (~1 us) then a local-DRAM miss (~100 ns).
+  // The local one completes first, so the next miss waits only for it; the
+  // miss after that waits for the remote one.
+  ContextFixture f;
+  auto ctx = f.make(/*mlp=*/2);
+  const auto local = f.tb.borrower().allocate(sim::kMiB, Placement::kLocal);
+  ctx.access(f.remote, false, false);
+  ctx.access(local, false, false);
+  EXPECT_EQ(ctx.stats().stall_time, 0u);
+  ctx.access(f.remote + 128, false, false);
+  EXPECT_GT(ctx.stats().stall_time, 0u) << "both slots were busy";
+  EXPECT_GT(ctx.now(), sim::from_ns(95)) << "waited for the local miss";
+  EXPECT_LT(ctx.now(), sim::from_ns(500)) << "not for the remote one";
+  ctx.access(f.remote + 256, false, false);
+  EXPECT_GT(ctx.now(), sim::from_ns(500)) << "now the remote miss frees";
+  ctx.drain();
+  EXPECT_EQ(ctx.stats().local_misses, 1u);
+  EXPECT_EQ(ctx.stats().remote_misses, 3u);
+}
+
+TEST(ContextTest, ZeroMlpRejected) {
+  Testbed tb;
+  EXPECT_THROW(MemContext(tb.borrower(), CpuConfig{0, sim::from_ns(1)}, "t"),
+               std::invalid_argument);
+}
+
+TEST(ContextTest, AdvancePastTheEndOfTimeThrows) {
+  ContextFixture f;
+  auto ctx = f.make();
+  ctx.seek(sim::kTimeNever - 10);
+  ctx.advance(10);
+  EXPECT_EQ(ctx.now(), sim::kTimeNever);
+  EXPECT_THROW(ctx.advance(1), std::logic_error);
+}
+
+TEST(ContextTest, IssueCostPastTheEndOfTimeThrows) {
+  ContextFixture f;
+  auto ctx = f.make();  // issue cost 1 ns
+  const auto local = f.tb.borrower().allocate(sim::kMiB, Placement::kLocal);
+  ctx.seek(sim::kTimeNever - sim::from_ns(1) + 1);
+  EXPECT_THROW(ctx.access(local, false, false), std::logic_error);
 }
 
 TEST(ContextTest, ResetStatsClears) {
