@@ -46,8 +46,8 @@ void BM_Distribution(benchmark::State& state) {
   const auto kind = kKinds[state.range(0)];
   for (auto _ : state) {
     core::SessionConfig cfg;
-    cfg.dist_kind = kind;
-    cfg.dist_mean = sim::from_us(kMeanDelayUs);
+    cfg.scenario.injector.dist_kind = kind;
+    cfg.scenario.injector.dist_mean_us = kMeanDelayUs;
     core::Session session(cfg);
 
     const auto stream = session.run_stream(bench::stream_config());

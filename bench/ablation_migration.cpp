@@ -40,7 +40,7 @@ const workloads::g500::EdgeList& shared_edges() {
 
 core::SessionConfig session_cfg(bool migration_on) {
   core::SessionConfig cfg;
-  cfg.period = kPeriod;
+  cfg.scenario.injector.period = kPeriod;
   if (migration_on) cfg.migration = node::MigrationConfig{};
   return cfg;
 }
@@ -59,7 +59,7 @@ void BM_MigrationBfs(benchmark::State& state) {
     auto& row = g_rows.back();
     (on ? row.on : row.off) = job.total();
     if (on) {
-      const auto* m = session.testbed().borrower().migrator();
+      const auto* m = session.cluster().borrower().migrator();
       row.pages_migrated = m->stats().pages_migrated;
       row.mb_migrated = m->stats().bytes_migrated >> 20;
     }
@@ -78,7 +78,7 @@ void BM_MigrationStream(benchmark::State& state) {
     auto& row = g_rows.back();
     (on ? row.on : row.off) = res.total_elapsed;
     if (on) {
-      const auto* m = session.testbed().borrower().migrator();
+      const auto* m = session.cluster().borrower().migrator();
       row.pages_migrated = m->stats().pages_migrated;
       row.mb_migrated = m->stats().bytes_migrated >> 20;
     }

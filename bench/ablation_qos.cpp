@@ -17,7 +17,7 @@
 
 #include "bench_common.hpp"
 #include "core/report.hpp"
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
 #include "workloads/stream/stream_flow.hpp"
 
 using namespace tfsim;
@@ -33,11 +33,11 @@ struct QosResult {
 std::vector<QosResult> g_rows;
 
 QosResult run_mode(const std::string& mode) {
-  node::TestbedSpec spec = node::thymesisflow_testbed();
+  scenario::ScenarioSpec spec = scenario::paper_two_node();
   if (mode == "net+mshr") {
-    spec.borrower.nic.latency_reserved_entries = 16;
+    spec.nodes[0].nic.latency_reserved_entries = 16;  // the borrower
   }
-  node::Testbed tb(spec);
+  node::Cluster tb(spec);
   tb.attach_remote();
   const sim::Time horizon = sim::from_ms(20.0);
 

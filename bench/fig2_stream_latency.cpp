@@ -14,7 +14,6 @@
 #include "bench_common.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
-#include "node/testbed.hpp"
 #include "sim/config.hpp"
 #include "sim/stats.hpp"
 
@@ -30,10 +29,10 @@ struct Row {
   double bandwidth_gbps = 0.0;
 };
 
-Row run_point(const node::TestbedSpec& testbed, std::uint64_t period) {
+Row run_point(const scenario::ScenarioSpec& spec, std::uint64_t period) {
   core::SessionConfig cfg;
-  cfg.testbed = testbed;
-  cfg.period = period;
+  cfg.scenario = spec;
+  cfg.scenario.injector.period = period;
   core::Session session(cfg);
   const auto res = session.run_stream(bench::stream_config());
   return Row{period, res.avg_latency_us, res.best_bandwidth_gbps};
@@ -70,13 +69,12 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   scenario::ScenarioSpec spec = bench::load_scenario(args.str("scenario"));
-  const node::TestbedSpec testbed = node::to_testbed_spec(spec);
   const auto periods = bench::axis_values<std::uint64_t>(
       args.int_list("periods"), spec.sweep.periods, kPeriods);
 
   const auto rows = bench::run_sweep(
       "fig2_stream_latency", periods,
-      [&](std::uint64_t p) { return run_point(testbed, p); });
+      [&](std::uint64_t p) { return run_point(spec, p); });
   print_table(rows);
   spec.sweep.periods = periods;
   bench::echo_scenario(spec, "fig2_stream_latency.csv");

@@ -15,7 +15,6 @@
 #include "core/metrics.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
-#include "node/testbed.hpp"
 #include "sim/config.hpp"
 
 using namespace tfsim;
@@ -31,10 +30,10 @@ struct Row {
   double bdp_kb = 0.0;
 };
 
-Row run_point(const node::TestbedSpec& testbed, std::uint64_t period) {
+Row run_point(const scenario::ScenarioSpec& spec, std::uint64_t period) {
   core::SessionConfig cfg;
-  cfg.testbed = testbed;
-  cfg.period = period;
+  cfg.scenario = spec;
+  cfg.scenario.injector.period = period;
   core::Session session(cfg);
   const auto res = session.run_stream(bench::stream_config());
   // Pair each kernel's own bandwidth and latency (copy is the canonical
@@ -75,13 +74,12 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   scenario::ScenarioSpec spec = bench::load_scenario(args.str("scenario"));
-  const node::TestbedSpec testbed = node::to_testbed_spec(spec);
   const auto periods = bench::axis_values<std::uint64_t>(
       args.int_list("periods"), spec.sweep.periods, kPeriods);
 
   const auto rows = bench::run_sweep(
       "fig3_stream_bandwidth", periods,
-      [&](std::uint64_t p) { return run_point(testbed, p); });
+      [&](std::uint64_t p) { return run_point(spec, p); });
   print_table(rows);
   spec.sweep.periods = periods;
   bench::echo_scenario(spec, "fig3_stream_bandwidth.csv");

@@ -17,7 +17,6 @@
 #include "core/metrics.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
-#include "node/testbed.hpp"
 #include "sim/config.hpp"
 
 using namespace tfsim;
@@ -45,21 +44,21 @@ struct Cell {
   double injected_delay_us = 0.0;
 };
 
-core::SessionConfig remote_cfg(const node::TestbedSpec& testbed,
+core::SessionConfig remote_cfg(const scenario::ScenarioSpec& spec,
                                std::uint64_t period) {
   core::SessionConfig cfg;
-  cfg.testbed = testbed;
-  cfg.period = period;
+  cfg.scenario = spec;
+  cfg.scenario.injector.period = period;
   cfg.placement = node::Placement::kRemote;
   return cfg;
 }
 
-PointResult run_point(const node::TestbedSpec& testbed, const Point& p,
+PointResult run_point(const scenario::ScenarioSpec& spec, const Point& p,
                       const workloads::g500::EdgeList& edges) {
   PointResult res;
   res.period = p.period;
   res.app = p.app;
-  core::Session session(remote_cfg(testbed, p.period));
+  core::Session session(remote_cfg(spec, p.period));
   switch (p.app) {
     case App::kRedis: {
       const auto r =
@@ -72,7 +71,7 @@ PointResult run_point(const node::TestbedSpec& testbed, const Point& p,
       res.elapsed = job.total();
       // Injected delay proxy: mean added delay per transaction at the gate.
       res.injected_delay_us =
-          session.testbed().borrower().nic().injector().added_delay().mean();
+          session.cluster().borrower().nic().injector().added_delay().mean();
       break;
     }
     case App::kSssp: {
@@ -112,7 +111,6 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   scenario::ScenarioSpec spec = bench::load_scenario(args.str("scenario"));
-  const node::TestbedSpec testbed = node::to_testbed_spec(spec);
   const auto periods = bench::axis_values<std::uint64_t>(
       args.int_list("periods"), spec.sweep.periods, kPeriods);
 
@@ -128,7 +126,7 @@ int main(int argc, char** argv) {
   }
   const auto results = bench::run_sweep(
       "fig5_app_degradation", points,
-      [&](const Point& p) { return run_point(testbed, p, edges); });
+      [&](const Point& p) { return run_point(spec, p, edges); });
 
   std::map<std::uint64_t, Cell> cells;
   for (const auto& r : results) {

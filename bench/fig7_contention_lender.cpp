@@ -6,7 +6,7 @@
 // bandwidth stays flat regardless of lender-side load -- the paper's
 // insight that busy and idle lenders are equally viable.
 //
-// Each lender load level is an independent Testbed, so the sweep fans out
+// Each lender load level is an independent Cluster, so the sweep fans out
 // across $TFSIM_JOBS workers; the table/CSV are identical for any count.
 #include <cstdio>
 #include <memory>
@@ -14,7 +14,7 @@
 
 #include "bench_common.hpp"
 #include "core/report.hpp"
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
 #include "sim/config.hpp"
 #include "workloads/stream/stream_flow.hpp"
 
@@ -31,8 +31,8 @@ struct Row {
   double lender_bus_utilization = 0.0;
 };
 
-Row run_point(const node::TestbedSpec& spec, int n) {
-  node::Testbed testbed(spec);
+Row run_point(const scenario::ScenarioSpec& spec, int n) {
+  node::Cluster testbed(spec);
   testbed.attach_remote();
   const sim::Time measure_end = sim::from_ms(20.0);
 
@@ -94,13 +94,12 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   scenario::ScenarioSpec spec = bench::load_scenario(args.str("scenario"));
-  const node::TestbedSpec testbed = node::to_testbed_spec(spec);
   const auto counts = bench::axis_values<std::uint32_t>(
       args.int_list("instances"), spec.sweep.instances, kLenderInstances);
 
   const auto rows = bench::run_sweep(
       "fig7_contention_lender", counts, [&](std::uint32_t n) {
-        return run_point(testbed, static_cast<int>(n));
+        return run_point(spec, static_cast<int>(n));
       });
   print_table(rows);
   spec.sweep.instances = counts;

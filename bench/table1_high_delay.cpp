@@ -31,7 +31,7 @@ Table1State g_state;
 
 core::SessionConfig session_cfg(std::uint64_t period, node::Placement placement) {
   core::SessionConfig cfg;
-  cfg.period = period;
+  cfg.scenario.injector.period = period;
   cfg.placement = placement;
   return cfg;
 }

@@ -20,7 +20,7 @@
 #include "mem/dram.hpp"
 #include "net/topology.hpp"
 #include "nic/nic.hpp"
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
 #include "sim/engine.hpp"
 #include "workloads/stream/stream_flow.hpp"
 
@@ -99,7 +99,7 @@ CongestedProbe run_injected(double target_mean_us) {
   CongestedProbe best;
   double best_err = 1e300;
   for (std::uint64_t p = 1; p <= 4096; p = p < 8 ? p + 1 : p * 2) {
-    node::Testbed tb;
+    node::Cluster tb(scenario::paper_two_node());
     tb.set_period(p);
     tb.attach_remote();
     workloads::FlowConfig fcfg;

@@ -9,7 +9,7 @@
 
 #include "bench_common.hpp"
 #include "core/report.hpp"
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
 #include "sim/config.hpp"
 #include "workloads/stream/stream_flow.hpp"
 
@@ -18,13 +18,13 @@ using namespace tfsim;
 namespace {
 
 /// N STREAM instances on the borrower, all remote (MCBN).
-void run_mcbn(const node::TestbedSpec& spec,
+void run_mcbn(const scenario::ScenarioSpec& spec,
               const std::vector<std::int64_t>& counts, sim::Time horizon) {
   core::Table table("MCBN: all instances on the borrower, remote memory",
                     {"instances", "per-instance GB/s", "aggregate GB/s",
                      "NIC window stalls"});
   for (const auto n : counts) {
-    node::Testbed tb(spec);
+    node::Cluster tb(spec);
     tb.attach_remote();
     std::vector<std::unique_ptr<workloads::RemoteStreamFlow>> flows;
     for (std::int64_t i = 0; i < n; ++i) {
@@ -50,12 +50,12 @@ void run_mcbn(const node::TestbedSpec& spec,
 }
 
 /// One borrower instance + N instances hammering the lender's bus (MCLN).
-void run_mcln(const node::TestbedSpec& spec,
+void run_mcln(const scenario::ScenarioSpec& spec,
               const std::vector<std::int64_t>& counts, sim::Time horizon) {
   core::Table table("MCLN: borrower streams remotely; N instances on lender",
                     {"lender instances", "borrower GB/s", "lender bus util"});
   for (const auto n : counts) {
-    node::Testbed tb(spec);
+    node::Cluster tb(spec);
     tb.attach_remote();
     workloads::FlowConfig bcfg;
     bcfg.concurrency = 128;
@@ -94,8 +94,7 @@ int main(int argc, char** argv) {
                   "testbed scenario name (scenarios/<name>.json) or path");
   if (!args.parse(argc, argv)) return 1;
 
-  const node::TestbedSpec spec =
-      node::to_testbed_spec(bench::load_scenario(args.str("testbed")));
+  const scenario::ScenarioSpec spec = bench::load_scenario(args.str("testbed"));
   const auto counts = args.int_list("instances");
   const auto horizon = sim::from_ms(args.real("ms"));
   const auto scenario = args.str("scenario");

@@ -21,7 +21,7 @@
 #include "core/metrics.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
-#include "node/testbed.hpp"
+#include "net/latency_dist.hpp"
 #include "sim/config.hpp"
 #include "sim/sweep.hpp"
 
@@ -46,19 +46,20 @@ struct SweepCfg {
 };
 
 core::SessionConfig make_session_cfg(const sim::ArgParser& args,
-                                     const node::TestbedSpec& testbed,
+                                     const scenario::ScenarioSpec& spec,
                                      const SweepCfg& point) {
   core::SessionConfig cfg;
-  cfg.testbed = testbed;
+  cfg.scenario = spec;
+  auto& inj = cfg.scenario.injector;
   if (point.delay_us >= 0.0) {
     const std::string dist = args.str("dist");
-    cfg.dist_kind = net::parse_dist_kind(dist.empty() ? "fixed" : dist);
-    cfg.dist_mean = sim::from_us(point.delay_us);
+    inj.dist_kind = net::parse_dist_kind(dist.empty() ? "fixed" : dist);
+    inj.dist_mean_us = point.delay_us;
   } else {
-    cfg.period = static_cast<std::uint64_t>(point.period);
+    inj.period = static_cast<std::uint64_t>(point.period);
     if (!args.str("dist").empty()) {
-      cfg.dist_kind = net::parse_dist_kind(args.str("dist"));
-      cfg.dist_mean = sim::from_us(args.real("mean-us"));
+      inj.dist_kind = net::parse_dist_kind(args.str("dist"));
+      inj.dist_mean_us = args.real("mean-us");
     }
   }
   return cfg;
@@ -95,8 +96,8 @@ int main(int argc, char** argv) {
   workloads::g500::EdgeList edges;
   if (workload == "bfs") edges = workloads::g500::kronecker_generate(gcfg.gen);
 
-  const node::TestbedSpec testbed =
-      node::to_testbed_spec(bench::load_scenario(args.str("scenario")));
+  const scenario::ScenarioSpec spec =
+      bench::load_scenario(args.str("scenario"));
 
   // Sweep axis: mean injected delays (distribution mode) when --delays-us
   // is given, injector PERIODs otherwise.
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
   auto run_point = [&](const SweepCfg& cell) {
     SweepPoint p;
     p.label = cell.label;
-    core::Session session(make_session_cfg(args, testbed, cell));
+    core::Session session(make_session_cfg(args, spec, cell));
     if (!session.attached()) {
       p.attached = false;
       return p;

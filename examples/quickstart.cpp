@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   for (const auto period : args.int_list("periods")) {
     core::SessionConfig cfg;
-    cfg.period = static_cast<std::uint64_t>(period);
+    cfg.scenario.injector.period = static_cast<std::uint64_t>(period);
     core::Session session(cfg);
     if (!session.attached()) {
       std::fprintf(stderr, "PERIOD %lld: device lost, cannot attach\n",
@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
     }
     std::printf("PERIOD %-6lld: remote region at 0x%llx (%llu GiB borrowed)\n",
                 static_cast<long long>(period),
-                static_cast<unsigned long long>(session.testbed().remote_base()),
+                static_cast<unsigned long long>(session.cluster().remote_base()),
                 static_cast<unsigned long long>(
-                    session.testbed().spec().remote_gib));
+                    session.cluster().remote_span() / sim::kGiB));
 
     const auto res = session.run_stream(stream_cfg);
     table.row({std::to_string(period),

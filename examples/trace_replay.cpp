@@ -14,7 +14,7 @@
 #include <sstream>
 
 #include "core/report.hpp"
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
 #include "sim/config.hpp"
 #include "sim/rng.hpp"
 #include "workloads/replay/trace.hpp"
@@ -26,7 +26,7 @@ namespace {
 
 /// Record a synthetic phase-mixed workload.
 Trace record_synthetic() {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   tb.attach_remote();
   node::MemContext ctx(tb.borrower(), node::CpuConfig{16, 100}, "capture");
   workloads::replay::TraceRecorder rec(ctx, tb.remote_base());
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
                      "avg miss latency (us)"});
   sim::Time baseline = 0;
   for (const auto period : args.int_list("periods")) {
-    node::Testbed tb;
+    node::Cluster tb(scenario::paper_two_node());
     tb.set_period(static_cast<std::uint64_t>(period));
     if (!tb.attach_remote()) {
       std::fprintf(stderr, "PERIOD %lld: device lost\n",

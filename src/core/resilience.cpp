@@ -34,8 +34,8 @@ ResilienceProbe assess_resilience(std::uint64_t period,
   probe.period = period;
 
   SessionConfig scfg;
-  scfg.testbed = opts.testbed;
-  scfg.period = period;
+  scfg.scenario = opts.scenario;
+  scfg.scenario.injector.period = period;
   scfg.placement = node::Placement::kRemote;
   Session session(scfg);
 

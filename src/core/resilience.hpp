@@ -45,7 +45,8 @@ struct ResilienceOptions {
   /// Latency above this classifies the run as degraded (SLA threshold).
   double degraded_threshold_us = 100.0;
   workloads::StreamConfig stream;
-  node::TestbedSpec testbed;
+  /// Base testbed; each probe overwrites `scenario.injector.period`.
+  scenario::ScenarioSpec scenario = scenario::paper_two_node();
 };
 
 /// Probe one PERIOD on a fresh testbed.

@@ -1,36 +1,25 @@
 #include "core/session.hpp"
 
-#include <memory>
-
 namespace tfsim::core {
 
-Session::Session(const SessionConfig& cfg) : cfg_(cfg) {
-  testbed_ = std::make_unique<node::Testbed>(cfg_.testbed);
-  if (cfg_.dist_kind.has_value()) {
-    testbed_->borrower().nic().set_distribution_injector(
-        std::make_unique<net::LatencyDistribution>(*cfg_.dist_kind,
-                                                   cfg_.dist_mean,
-                                                   cfg_.dist_seed));
-  } else {
-    testbed_->set_period(cfg_.period);
-  }
-  attached_ = testbed_->attach_remote();
-  if (cfg_.migration.has_value()) {
-    testbed_->borrower().enable_migration(*cfg_.migration);
+Session::Session(const SessionConfig& cfg)
+    : cluster_(cfg.scenario), placement_(cfg.placement) {
+  attached_ = cluster_.attach_remote();
+  if (cfg.migration.has_value()) {
+    cluster_.borrower().enable_migration(*cfg.migration);
   }
 }
 
 sim::Time Session::injector_interval() const {
-  const auto& inj =
-      const_cast<Session*>(this)->testbed_->borrower().nic().injector();
+  const auto& inj = nic().injector();
   return inj.mode() == nic::DelayInjector::Mode::kPeriodGate ? inj.interval()
                                                              : 0;
 }
 
 workloads::StreamResult Session::run_stream(const workloads::StreamConfig& cfg) {
   workloads::StreamConfig c = cfg;
-  c.placement = cfg_.placement;
-  workloads::Stream stream(testbed_->borrower(), c);
+  c.placement = placement_;
+  workloads::Stream stream(cluster_.borrower(), c);
   return stream.run();
 }
 
@@ -38,8 +27,8 @@ workloads::g500::BfsResult Session::run_bfs(
     const workloads::g500::Graph500Config& cfg,
     workloads::g500::CsrGraph graph, std::uint32_t root) {
   workloads::g500::Graph500Config c = cfg;
-  c.placement = cfg_.placement;
-  workloads::g500::Graph500 g(testbed_->borrower(), c, std::move(graph));
+  c.placement = placement_;
+  workloads::g500::Graph500 g(cluster_.borrower(), c, std::move(graph));
   return g.run_bfs(root);
 }
 
@@ -47,8 +36,8 @@ workloads::g500::SsspResult Session::run_sssp(
     const workloads::g500::Graph500Config& cfg,
     workloads::g500::CsrGraph graph, std::uint32_t root) {
   workloads::g500::Graph500Config c = cfg;
-  c.placement = cfg_.placement;
-  workloads::g500::Graph500 g(testbed_->borrower(), c, std::move(graph));
+  c.placement = placement_;
+  workloads::g500::Graph500 g(cluster_.borrower(), c, std::move(graph));
   return g.run_sssp(root);
 }
 
@@ -56,8 +45,8 @@ workloads::g500::JobResult Session::run_bfs_job(
     const workloads::g500::Graph500Config& cfg,
     const workloads::g500::EdgeList& edges, std::uint32_t root) {
   workloads::g500::Graph500Config c = cfg;
-  c.placement = cfg_.placement;
-  workloads::g500::Graph500 g(testbed_->borrower(), c, edges);
+  c.placement = placement_;
+  workloads::g500::Graph500 g(cluster_.borrower(), c, edges);
   return g.run_bfs_job(root);
 }
 
@@ -65,8 +54,8 @@ workloads::g500::JobResult Session::run_sssp_job(
     const workloads::g500::Graph500Config& cfg,
     const workloads::g500::EdgeList& edges, std::uint32_t root) {
   workloads::g500::Graph500Config c = cfg;
-  c.placement = cfg_.placement;
-  workloads::g500::Graph500 g(testbed_->borrower(), c, edges);
+  c.placement = placement_;
+  workloads::g500::Graph500 g(cluster_.borrower(), c, edges);
   return g.run_sssp_job(root);
 }
 
@@ -74,14 +63,14 @@ workloads::kv::MemtierResult Session::run_memtier(
     const workloads::kv::KvStoreConfig& store_cfg,
     const workloads::kv::MemtierConfig& load_cfg) {
   workloads::kv::KvStoreConfig sc = store_cfg;
-  sc.placement = cfg_.placement;
-  workloads::kv::KvStore store(testbed_->borrower(), sc);
-  workloads::kv::Memtier memtier(testbed_->borrower(), store, load_cfg);
+  sc.placement = placement_;
+  workloads::kv::KvStore store(cluster_.borrower(), sc);
+  workloads::kv::Memtier memtier(cluster_.borrower(), store, load_cfg);
   return memtier.run();
 }
 
 const nic::DisaggNic& Session::nic() const {
-  return const_cast<Session*>(this)->testbed_->borrower().nic();
+  return cluster_.borrower().nic();
 }
 
 }  // namespace tfsim::core

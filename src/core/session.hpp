@@ -1,20 +1,17 @@
 // Characterization session: one configured run of the delay-injection
-// framework on a fresh ThymesisFlow testbed.
+// framework on a fresh testbed.
 //
 // The paper's methodology restarts the system between runs (injected delay
 // is constant within a run, changed across runs); a Session mirrors that: it
-// owns a fresh Testbed with the injector configured (PERIOD, or a delay
-// distribution for the future-work mode), attaches the remote memory, and
-// exposes ready-to-run workload drivers.
+// owns a fresh node::Cluster assembled from its scenario (the injector block
+// sets the PERIOD, or a delay distribution for the future-work mode),
+// attaches the remote memory, and exposes ready-to-run workload drivers.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 
-#include "net/latency_dist.hpp"
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
+#include "scenario/scenario.hpp"
 #include "workloads/graph500/graph500.hpp"
 #include "workloads/kvstore/kvstore.hpp"
 #include "workloads/kvstore/memtier.hpp"
@@ -23,12 +20,9 @@
 namespace tfsim::core {
 
 struct SessionConfig {
-  node::TestbedSpec testbed;             ///< defaults: thymesisflow_testbed()
-  std::uint64_t period = 1;              ///< injector PERIOD
-  /// Distribution-mode injection (overrides `period` when set).
-  std::optional<net::DistKind> dist_kind;
-  sim::Time dist_mean = 0;
-  std::uint64_t dist_seed = 42;
+  /// The testbed, applied in full (faults and chaos included).  Its
+  /// injector block sets the PERIOD or the delay distribution.
+  scenario::ScenarioSpec scenario = scenario::paper_two_node();
   /// Workload data placement: kRemote for disaggregated runs, kLocal for
   /// the local-memory baselines of Table I.
   node::Placement placement = node::Placement::kRemote;
@@ -45,8 +39,7 @@ class Session {
   /// placement).  False reproduces the Fig. 4 device-lost failure.
   bool attached() const { return attached_; }
 
-  node::Testbed& testbed() { return *testbed_; }
-  const SessionConfig& config() const { return cfg_; }
+  node::Cluster& cluster() { return cluster_; }
   /// Effective injector spacing PERIOD x Tclk (0 in distribution mode).
   sim::Time injector_interval() const;
 
@@ -81,8 +74,8 @@ class Session {
   const nic::DisaggNic& nic() const;
 
  private:
-  SessionConfig cfg_;
-  std::unique_ptr<node::Testbed> testbed_;
+  node::Cluster cluster_;
+  node::Placement placement_;
   bool attached_ = false;
 };
 

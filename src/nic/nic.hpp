@@ -104,6 +104,7 @@ class DisaggNic {
   void set_distribution_injector(std::unique_ptr<net::LatencyDistribution> dist);
 
   DelayInjector& injector() { return *injector_; }
+  const DelayInjector& injector() const { return *injector_; }
   RequestWindow& window() { return window_; }
   const ReplayWindow& replay() const { return replay_; }
   const capi::CreditPool& credits() const { return credits_; }

@@ -5,9 +5,10 @@
 // remote-memory reservations (optionally striped across lenders).
 //
 // Cluster generalizes the paper's hardwired two-node prototype to
-// 1-borrower-N-lender pooling and M-borrowers-sharing-a-trunk contention;
-// Testbed is now a thin two-node wrapper over it, so every Session-based
-// experiment runs through this same assembly path.
+// 1-borrower-N-lender pooling and M-borrowers-sharing-a-trunk contention.
+// It is the only testbed assembly: the prototype itself is the
+// scenario::paper_two_node() instance, and core::Session builds its
+// Cluster straight from the scenario it is given.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +60,7 @@ class Cluster {
   std::size_t num_borrowers() const { return borrowers_.size(); }
   std::size_t num_lenders() const { return lenders_.size(); }
   Node& borrower(std::size_t i = 0) { return *borrowers_.at(i); }
+  const Node& borrower(std::size_t i = 0) const { return *borrowers_.at(i); }
   Node& lender(std::size_t i = 0) { return *lenders_.at(i); }
   /// Control-plane registry id of a node (for reserve()/telemetry calls).
   std::uint32_t registry_id(const Node& n) const;

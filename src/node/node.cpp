@@ -27,6 +27,11 @@ nic::DisaggNic& Node::nic() {
   return *nic_;
 }
 
+const nic::DisaggNic& Node::nic() const {
+  if (!nic_) throw std::logic_error("Node " + spec_.name + " has no NIC");
+  return *nic_;
+}
+
 void Node::enable_migration(const MigrationConfig& cfg) {
   migrator_ = std::make_unique<PageMigrator>(*this, cfg);
   // A node already bound into a domain checker passes ownership through to

@@ -39,6 +39,7 @@ class Node {
   mem::Dram& dram() { return dram_; }
   bool has_nic() const { return nic_ != nullptr; }
   nic::DisaggNic& nic();
+  const nic::DisaggNic& nic() const;
   const NodeSpec& spec() const { return spec_; }
 
   /// Bump-allocate `bytes` (line-aligned) with the given placement; throws

@@ -1,12 +1,11 @@
-// Node and testbed configuration (POWER9 AC922-like defaults, matching the
-// paper's prototype and the calibration constants in DESIGN.md §4).
+// Node and CPU-context configuration (POWER9 AC922-like defaults, matching
+// the paper's prototype and the calibration constants in DESIGN.md §4).
 #pragma once
 
 #include <cstdint>
 
 #include "mem/dram.hpp"
 #include "mem/hierarchy.hpp"
-#include "net/link.hpp"
 #include "nic/nic.hpp"
 #include "sim/server.hpp"
 #include "sim/units.hpp"
@@ -30,15 +29,5 @@ struct NodeSpec {
   bool with_nic = true;               ///< borrower-capable (has the FPGA card)
   nic::NicConfig nic;                 ///< window 129, 320 MHz, PERIOD 1
 };
-
-struct TestbedSpec {
-  NodeSpec borrower;
-  NodeSpec lender;
-  net::LinkConfig link;               ///< 100 Gb/s point-to-point
-  std::uint64_t remote_gib = 16;      ///< memory borrowed at setup
-};
-
-/// The two-node ThymesisFlow prototype as configured in the paper.
-TestbedSpec thymesisflow_testbed();
 
 }  // namespace tfsim::node

@@ -332,7 +332,9 @@ std::vector<FieldInfo> schema();
 
 // --- built-in scenarios ----------------------------------------------------
 
-/// The paper's two-node ThymesisFlow prototype (== node::thymesisflow_testbed).
+/// The paper's two-node ThymesisFlow prototype: AC922 nodes (512 GiB
+/// DRAM), a borrower-only NIC (129-entry window, PERIOD 1), one 100 Gb/s
+/// cable and 16 GiB borrowed.  core::SessionConfig's default testbed.
 ScenarioSpec paper_two_node();
 /// 1 borrower pooling memory from `lenders` equal lenders, reservation
 /// striped across all of them (most-free placement).

@@ -2,13 +2,13 @@
 //
 // Every figure in the paper is a sweep over independent configurations
 // (PERIOD, contention level, workload mix); each point builds its own
-// Engine/Testbed and shares nothing with its neighbours.  SweepRunner
+// Engine/Cluster and shares nothing with its neighbours.  SweepRunner
 // fans those points out across a fixed-size thread pool and collects the
 // results in input order, so the output is byte-identical to a serial
 // loop — parallelism changes wall-clock time only, never results.
 //
 // Requirements on the job function: it must not touch mutable state shared
-// across points (each point constructs its own Session/Testbed/Engine/Rng;
+// across points (each point constructs its own Session/Cluster/Engine/Rng;
 // globals such as the log level are read-only during a sweep).  Exceptions
 // thrown by a job are captured and rethrown on the caller's thread — the
 // first failing input index wins, matching serial behaviour.

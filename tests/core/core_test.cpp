@@ -2,11 +2,13 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/metrics.hpp"
 #include "core/report.hpp"
 #include "core/resilience.hpp"
 #include "core/session.hpp"
+#include "scenario/scenario.hpp"
 
 namespace tfsim::core {
 namespace {
@@ -74,7 +76,7 @@ workloads::StreamConfig tiny_stream() {
 
 TEST(SessionTest, AttachesAndRunsStream) {
   SessionConfig cfg;
-  cfg.period = 1;
+  cfg.scenario.injector.period = 1;
   Session s(cfg);
   ASSERT_TRUE(s.attached());
   const auto res = s.run_stream(tiny_stream());
@@ -84,7 +86,7 @@ TEST(SessionTest, AttachesAndRunsStream) {
 
 TEST(SessionTest, PeriodReachesInjector) {
   SessionConfig cfg;
-  cfg.period = 50;
+  cfg.scenario.injector.period = 50;
   Session s(cfg);
   ASSERT_TRUE(s.attached());
   EXPECT_EQ(s.injector_interval(), sim::clock_period(320e6) * 50);
@@ -92,15 +94,15 @@ TEST(SessionTest, PeriodReachesInjector) {
 
 TEST(SessionTest, ExtremePeriodFailsAttach) {
   SessionConfig cfg;
-  cfg.period = 10000;
+  cfg.scenario.injector.period = 10000;
   Session s(cfg);
   EXPECT_FALSE(s.attached());
 }
 
 TEST(SessionTest, DistributionModeConfigures) {
   SessionConfig cfg;
-  cfg.dist_kind = net::DistKind::kExponential;
-  cfg.dist_mean = sim::from_us(1);
+  cfg.scenario.injector.dist_kind = net::DistKind::kExponential;
+  cfg.scenario.injector.dist_mean_us = 1;
   Session s(cfg);
   ASSERT_TRUE(s.attached());
   EXPECT_EQ(s.injector_interval(), 0u) << "no fixed interval in dist mode";
@@ -110,16 +112,40 @@ TEST(SessionTest, DistributionModeConfigures) {
 
 TEST(SessionTest, LocalPlacementIgnoresInjector) {
   SessionConfig remote_cfg;
-  remote_cfg.period = 200;
+  remote_cfg.scenario.injector.period = 200;
   Session remote(remote_cfg);
   const auto r = remote.run_stream(tiny_stream());
 
   SessionConfig local_cfg;
-  local_cfg.period = 200;
+  local_cfg.scenario.injector.period = 200;
   local_cfg.placement = node::Placement::kLocal;
   Session local(local_cfg);
   const auto l = local.run_stream(tiny_stream());
   EXPECT_GT(l.best_bandwidth_gbps, 20 * r.best_bandwidth_gbps);
+}
+
+// Every block of the scenario a Session is given reaches the run: the lossy
+// fabric's loss, corruption and flaps make the borrower NIC retransmit, and
+// the spec the cluster ran is the one loaded (so a bench's echoed
+// .scenario.json describes what produced its CSV).
+TEST(SessionTest, ScenarioFaultsReachTheRun) {
+  const scenario::ScenarioSpec loaded = scenario::load_file(
+      std::string(TFSIM_SOURCE_DIR) + "/scenarios/faulty_fabric.json");
+  SessionConfig cfg;
+  cfg.scenario = loaded;
+  Session s(cfg);
+  ASSERT_TRUE(s.attached());
+  const auto res = s.run_stream(tiny_stream());
+  EXPECT_TRUE(res.validated);
+  const auto& replay = s.nic().replay();
+  EXPECT_GT(replay.retries(), 0u);
+  EXPECT_GT(replay.frames_lost(), 0u);
+  EXPECT_EQ(scenario::resolved_json(s.cluster().spec()),
+            scenario::resolved_json(loaded));
+
+  Session clean(SessionConfig{});
+  clean.run_stream(tiny_stream());
+  EXPECT_EQ(clean.nic().replay().retries(), 0u) << "paper_twonode is lossless";
 }
 
 // --- resilience ---------------------------------------------------------------

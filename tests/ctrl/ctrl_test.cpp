@@ -3,7 +3,7 @@
 #include "ctrl/control_plane.hpp"
 #include "ctrl/policy.hpp"
 #include "ctrl/registry.hpp"
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
 
 namespace tfsim::ctrl {
 namespace {
@@ -127,7 +127,7 @@ TEST(ControlPlaneTest, ReleaseReturnsMemory) {
 
 TEST(ControlPlaneTest, AttachProgramsNicAndMap) {
   // Full lifecycle on a real testbed.
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   const auto base = tb.remote_base();
   const auto* region = tb.borrower().memory_map().find(base);
@@ -139,7 +139,7 @@ TEST(ControlPlaneTest, AttachProgramsNicAndMap) {
 }
 
 TEST(ControlPlaneTest, AttachFailsWhenDeviceTimesOut) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   tb.set_period(10000);  // beyond the FPGA detection deadline
   EXPECT_FALSE(tb.attach_remote());
   EXPECT_FALSE(tb.remote_attached());

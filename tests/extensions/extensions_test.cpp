@@ -6,8 +6,8 @@
 #include <memory>
 
 #include "net/topology.hpp"
+#include "node/cluster.hpp"
 #include "node/migration.hpp"
-#include "node/testbed.hpp"
 #include "sim/server.hpp"
 #include "workloads/stream/stream_flow.hpp"
 
@@ -60,9 +60,9 @@ TEST(PriorityServerTest, BacklogPerClass) {
 // --- end-to-end QoS -------------------------------------------------------
 
 TEST(QosTest, PrioritizedProbeKeepsLowLatencyUnderSaturation) {
-  node::TestbedSpec spec = node::thymesisflow_testbed();
-  spec.borrower.nic.latency_reserved_entries = 16;
-  node::Testbed tb(spec);
+  scenario::ScenarioSpec spec = scenario::paper_two_node();
+  spec.nodes[0].nic.latency_reserved_entries = 16;  // the borrower
+  node::Cluster tb(spec);
   ASSERT_TRUE(tb.attach_remote());
   const sim::Time horizon = sim::from_ms(5.0);
 
@@ -92,7 +92,7 @@ TEST(QosTest, PrioritizedProbeKeepsLowLatencyUnderSaturation) {
 }
 
 TEST(QosTest, MemContextPriorityReachesNic) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   node::CpuConfig cpu{4, sim::from_ns(1), sim::Priority::kLatency};
   node::MemContext ctx(tb.borrower(), cpu, "qos");
@@ -112,7 +112,7 @@ node::MigrationConfig fast_migration() {
 }
 
 TEST(MigrationTest, HotPageMigratesAfterRepeatedEpochs) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   tb.borrower().enable_migration(fast_migration());
   auto* m = tb.borrower().migrator();
@@ -138,7 +138,7 @@ TEST(MigrationTest, HotPageMigratesAfterRepeatedEpochs) {
 }
 
 TEST(MigrationTest, StreamingPagesDoNotQualify) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   tb.borrower().enable_migration(fast_migration());
   node::MemContext ctx(tb.borrower(), node::CpuConfig{32, sim::from_ns(1)}, "t");
@@ -149,7 +149,7 @@ TEST(MigrationTest, StreamingPagesDoNotQualify) {
 }
 
 TEST(MigrationTest, BudgetCapsMigration) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   auto cfg = fast_migration();
   cfg.budget_bytes = cfg.page_bytes;  // exactly one page
@@ -224,7 +224,7 @@ TEST(TopologyTest, RejectsBadConfigs) {
 
 TEST(BurstyFlowTest, PhasedFlowMovesLessThanSmoothFlow) {
   auto run = [](sim::Time on, sim::Time off) {
-    node::Testbed tb;
+    node::Cluster tb(scenario::paper_two_node());
     tb.attach_remote();
     workloads::FlowConfig cfg;
     cfg.concurrency = 32;
@@ -246,7 +246,7 @@ TEST(BurstyFlowTest, PhasedFlowMovesLessThanSmoothFlow) {
 
 TEST(BurstyFlowTest, MicroBurstsThrottleThroughput) {
   auto run = [](std::uint64_t burst_lines, sim::Time idle) {
-    node::Testbed tb;
+    node::Cluster tb(scenario::paper_two_node());
     tb.attach_remote();
     workloads::FlowConfig cfg;
     cfg.concurrency = 8;

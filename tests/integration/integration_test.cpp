@@ -24,7 +24,7 @@ TEST(IntegrationTest, PeriodLatencyIsLinear) {
   std::vector<double> periods, latencies;
   for (const std::uint64_t p : {8, 16, 32, 64, 128}) {
     core::SessionConfig cfg;
-    cfg.period = p;
+    cfg.scenario.injector.period = p;
     core::Session s(cfg);
     ASSERT_TRUE(s.attached());
     const auto res = s.run_stream(test_stream());
@@ -42,7 +42,7 @@ TEST(IntegrationTest, BdpIsConstantAcrossInjection) {
   std::vector<double> bdps;
   for (const std::uint64_t p : {16, 64, 256}) {
     core::SessionConfig cfg;
-    cfg.period = p;
+    cfg.scenario.injector.period = p;
     core::Session s(cfg);
     ASSERT_TRUE(s.attached());
     const auto res = s.run_stream(test_stream());
@@ -76,7 +76,7 @@ TEST(IntegrationTest, RedisInsensitiveGraphSensitive) {
   sim::Time redis_base = 0, redis_slow = 0, bfs_base = 0, bfs_slow = 0;
   for (const std::uint64_t p : {std::uint64_t{1}, std::uint64_t{400}}) {
     core::SessionConfig cfg;
-    cfg.period = p;
+    cfg.scenario.injector.period = p;
     core::Session s(cfg);
     ASSERT_TRUE(s.attached());
     const auto redis = s.run_memtier(store_cfg, load_cfg);
@@ -95,7 +95,7 @@ TEST(IntegrationTest, RedisInsensitiveGraphSensitive) {
 
 // Fig. 6 property: equal division among borrower-side competitors.
 TEST(IntegrationTest, BorrowerContentionDividesEqually) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   const sim::Time stop = sim::from_ms(5.0);
   std::vector<std::unique_ptr<workloads::RemoteStreamFlow>> flows;
@@ -120,7 +120,7 @@ TEST(IntegrationTest, BorrowerContentionDividesEqually) {
 // Fig. 7 property: lender-side contention does not dent borrower bandwidth.
 TEST(IntegrationTest, LenderContentionInvisibleToBorrower) {
   auto run_with_lender_load = [](int lender_instances) {
-    node::Testbed tb;
+    node::Cluster tb(scenario::paper_two_node());
     tb.attach_remote();
     const sim::Time stop = sim::from_ms(5.0);
     workloads::FlowConfig bcfg;
@@ -151,12 +151,12 @@ TEST(IntegrationTest, LenderContentionInvisibleToBorrower) {
 // Fig. 4 property: the reliability cliff sits between PERIOD 1000 and 10000.
 TEST(IntegrationTest, ReliabilityCliffLocation) {
   core::SessionConfig ok_cfg;
-  ok_cfg.period = 1000;
+  ok_cfg.scenario.injector.period = 1000;
   core::Session ok(ok_cfg);
   EXPECT_TRUE(ok.attached());
 
   core::SessionConfig dead_cfg;
-  dead_cfg.period = 10000;
+  dead_cfg.scenario.injector.period = 10000;
   core::Session dead(dead_cfg);
   EXPECT_FALSE(dead.attached());
 }
@@ -165,8 +165,8 @@ TEST(IntegrationTest, ReliabilityCliffLocation) {
 TEST(IntegrationTest, TailShapeMattersAtEqualMean) {
   auto run_dist = [](net::DistKind kind) {
     core::SessionConfig cfg;
-    cfg.dist_kind = kind;
-    cfg.dist_mean = sim::from_us(2);
+    cfg.scenario.injector.dist_kind = kind;
+    cfg.scenario.injector.dist_mean_us = 2;
     core::Session s(cfg);
     const auto res = s.run_stream(test_stream());
     return res.best_bandwidth_gbps;

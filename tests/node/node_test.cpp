@@ -3,15 +3,15 @@
 #include <new>
 #include <stdexcept>
 
+#include "node/cluster.hpp"
 #include "node/context.hpp"
 #include "node/node.hpp"
-#include "node/testbed.hpp"
 
 namespace tfsim::node {
 namespace {
 
 TEST(TestbedTest, AssemblesTwoNodePrototype) {
-  Testbed tb;
+  Cluster tb(scenario::paper_two_node());
   EXPECT_EQ(tb.borrower().name(), "borrower");
   EXPECT_EQ(tb.lender().name(), "lender");
   EXPECT_TRUE(tb.borrower().has_nic());
@@ -23,13 +23,13 @@ TEST(TestbedTest, AssemblesTwoNodePrototype) {
 }
 
 TEST(TestbedTest, SetPeriodReachesInjector) {
-  Testbed tb;
+  Cluster tb(scenario::paper_two_node());
   tb.set_period(123);
   EXPECT_EQ(tb.period(), 123u);
 }
 
 TEST(NodeTest, LocalAllocationIsLineAligned) {
-  Testbed tb;
+  Cluster tb(scenario::paper_two_node());
   Node& n = tb.borrower();
   const auto a = n.allocate(100, Placement::kLocal);
   const auto b = n.allocate(100, Placement::kLocal);
@@ -39,7 +39,7 @@ TEST(NodeTest, LocalAllocationIsLineAligned) {
 }
 
 TEST(NodeTest, RemoteAllocationRequiresAttach) {
-  Testbed tb;
+  Cluster tb(scenario::paper_two_node());
   EXPECT_THROW(tb.borrower().allocate(4096, Placement::kRemote),
                std::bad_alloc);
   ASSERT_TRUE(tb.attach_remote());
@@ -48,10 +48,10 @@ TEST(NodeTest, RemoteAllocationRequiresAttach) {
 }
 
 TEST(NodeTest, AutoSpillsToRemote) {
-  TestbedSpec spec = thymesisflow_testbed();
-  spec.borrower.dram.capacity_bytes = 1 * sim::kMiB;  // tiny local node
-  spec.remote_gib = 1;
-  Testbed tb(spec);
+  scenario::ScenarioSpec spec = scenario::paper_two_node();
+  spec.nodes[0].dram.capacity_bytes = 1 * sim::kMiB;  // tiny local borrower
+  spec.reservations[0].size_gib = 1;
+  Cluster tb(spec);
   ASSERT_TRUE(tb.attach_remote());
   Node& n = tb.borrower();
   const auto local = n.allocate(512 * sim::kKiB, Placement::kAuto);
@@ -61,7 +61,7 @@ TEST(NodeTest, AutoSpillsToRemote) {
 }
 
 TEST(NodeTest, FreeBytesTracksAllocation) {
-  Testbed tb;
+  Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   Node& n = tb.borrower();
   const auto before = n.free_bytes(mem::Backing::kRemoteDram);
@@ -72,7 +72,7 @@ TEST(NodeTest, FreeBytesTracksAllocation) {
 // --- MemContext --------------------------------------------------------
 
 struct ContextFixture {
-  Testbed tb;
+  Cluster tb{scenario::paper_two_node()};
   mem::Addr remote;
   ContextFixture() {
     tb.attach_remote();
@@ -208,7 +208,7 @@ TEST(ContextTest, LocalMissIssuedBehindRemoteMissesFreesItsSlotFirst) {
 }
 
 TEST(ContextTest, ZeroMlpRejected) {
-  Testbed tb;
+  Cluster tb(scenario::paper_two_node());
   EXPECT_THROW(MemContext(tb.borrower(), CpuConfig{0, sim::from_ns(1)}, "t"),
                std::invalid_argument);
 }

@@ -159,7 +159,7 @@ TEST_P(PeriodMonotonicityTest, HigherPeriodNeverFaster) {
   const std::uint64_t period = GetParam();
   auto run = [](std::uint64_t p) {
     core::SessionConfig cfg;
-    cfg.period = p;
+    cfg.scenario.injector.period = p;
     core::Session s(cfg);
     workloads::StreamConfig sc;
     sc.elements = 300'000;
@@ -180,7 +180,7 @@ INSTANTIATE_TEST_SUITE_P(Periods, PeriodMonotonicityTest,
 TEST(DeterminismTest, IdenticalSeedsIdenticalResults) {
   auto run = [] {
     core::SessionConfig cfg;
-    cfg.period = 16;
+    cfg.scenario.injector.period = 16;
     core::Session s(cfg);
     workloads::kv::KvStoreConfig store_cfg;
     store_cfg.buckets = 1 << 10;
@@ -201,7 +201,7 @@ TEST(DeterminismTest, GraphJobsAreReproducible) {
   const auto edges = workloads::g500::kronecker_generate(gcfg.gen);
   auto run = [&] {
     core::SessionConfig cfg;
-    cfg.period = 8;
+    cfg.scenario.injector.period = 8;
     core::Session s(cfg);
     return s.run_bfs_job(gcfg, edges, 3).total();
   };
@@ -211,7 +211,7 @@ TEST(DeterminismTest, GraphJobsAreReproducible) {
 // --- kv store randomized vs std::map oracle ----------------------------------
 
 TEST(KvShadowTest, RandomOpsMatchMapOracle) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   workloads::kv::KvStoreConfig cfg;
   cfg.buckets = 64;  // tiny: force heavy chaining

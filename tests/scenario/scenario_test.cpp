@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "json_leaf.hpp"
-#include "node/testbed.hpp"
 #include "scenario/json.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/units.hpp"
@@ -77,21 +76,14 @@ TEST(ScenarioBuiltinTest, PaperTwoNodeMatchesTestbedDefaults) {
   EXPECT_FALSE(spec.nodes[1].nic_enabled());
   ASSERT_EQ(spec.reservations.size(), 1u);
   EXPECT_EQ(spec.reservations[0].name, "thymesisflow-borrowed");
-
-  // Round-trips through the legacy TestbedSpec without loss.
-  const node::TestbedSpec tb = node::to_testbed_spec(spec);
-  const node::TestbedSpec ref = node::thymesisflow_testbed();
-  EXPECT_EQ(tb.remote_gib, ref.remote_gib);
-  EXPECT_EQ(tb.borrower.dram.capacity_bytes, ref.borrower.dram.capacity_bytes);
-  EXPECT_EQ(tb.borrower.nic.window_entries, ref.borrower.nic.window_entries);
-
-  // Apart from naming and workload bindings (which only scenario-driven
-  // benches consume), the shim's scenario is the built-in.
-  ScenarioSpec shim = node::to_scenario(tb);
-  shim.name = spec.name;
-  shim.description = spec.description;
-  shim.workloads = spec.workloads;
-  EXPECT_EQ(resolved_json(shim), resolved_json(spec));
+  // The AC922 constants: 512 GiB per node, a 129-entry window at PERIOD 1,
+  // 16 GiB borrowed over one direct cable.
+  EXPECT_EQ(spec.nodes[0].dram.capacity_bytes, 512 * sim::kGiB);
+  EXPECT_EQ(spec.nodes[1].dram.capacity_bytes, 512 * sim::kGiB);
+  EXPECT_EQ(spec.nodes[0].nic.window_entries, 129u);
+  EXPECT_EQ(spec.injector.period, 1u);
+  EXPECT_EQ(spec.reservations[0].size_gib, 16u);
+  EXPECT_EQ(spec.topology.kind, TopologyKind::kDirect);
 }
 
 TEST(ScenarioBuiltinTest, CountExpansionAndOverrides) {

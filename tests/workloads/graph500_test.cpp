@@ -6,7 +6,7 @@
 #include <numeric>
 #include <queue>
 
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
 
 namespace tfsim::workloads::g500 {
 namespace {
@@ -109,7 +109,7 @@ TEST(CsrTest, HasEdgeAndMinWeight) {
 // --- BFS/SSSP over simulated memory ---------------------------------------
 
 struct GraphFixture {
-  node::Testbed tb;
+  node::Cluster tb{scenario::paper_two_node()};
   Graph500Config cfg;
   GraphFixture() {
     tb.attach_remote();
@@ -247,7 +247,7 @@ TEST(JobTest, DelayInjectionSlowsJobDown) {
   Graph500 g1(fast.tb.borrower(), fast.cfg);
   const auto base = g1.run_bfs_job(1);
 
-  node::Testbed tb2;
+  node::Cluster tb2(scenario::paper_two_node());
   tb2.set_period(200);
   tb2.attach_remote();
   Graph500 g2(tb2.borrower(), fast.cfg);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
 #include "workloads/kvstore/memtier.hpp"
 #include "workloads/kvstore/resp.hpp"
 
@@ -85,7 +85,7 @@ TEST(MakeValueTest, DeterministicAndVersionSensitive) {
 // --- KvStore ----------------------------------------------------------------
 
 struct KvFixture {
-  node::Testbed tb;
+  node::Cluster tb{scenario::paper_two_node()};
   KvStoreConfig cfg;
   KvFixture() {
     tb.attach_remote();
@@ -251,7 +251,7 @@ TEST(MemtierTest, DelaySlowsServiceDown) {
   Memtier m1(f1.tb.borrower(), s1, small_load());
   const auto base = m1.run();
 
-  node::Testbed tb2;
+  node::Cluster tb2(scenario::paper_two_node());
   tb2.set_period(1000);
   tb2.attach_remote();
   KvStoreConfig cfg2 = f1.cfg;

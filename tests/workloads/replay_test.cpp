@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
 
 namespace tfsim::workloads::replay {
 namespace {
@@ -46,7 +46,7 @@ TEST(TraceTest, FootprintAndAccessCounts) {
 }
 
 TEST(ReplayTest, RunsAgainstTestbed) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   std::string text;
   for (int i = 0; i < 200; ++i) {
@@ -69,7 +69,7 @@ TEST(ReplayTest, DelaySensitivityMatchesAccessPattern) {
     indep_text += "R " + std::to_string(i) + "000\n";
   }
   auto run = [](const std::string& text, std::uint64_t period) {
-    node::Testbed tb;
+    node::Cluster tb(scenario::paper_two_node());
     tb.set_period(period);
     tb.attach_remote();
     return replay(tb.borrower(), parse_trace_string(text),
@@ -87,7 +87,7 @@ TEST(ReplayTest, DelaySensitivityMatchesAccessPattern) {
 TEST(RecorderTest, CapturedTraceReplaysEquivalently) {
   // Record a synthetic workload, then replay the capture: both must see the
   // same number of accesses, and similar timing on a fresh testbed.
-  node::Testbed tb1;
+  node::Cluster tb1(scenario::paper_two_node());
   ASSERT_TRUE(tb1.attach_remote());
   const mem::Addr base = tb1.remote_base();
   node::MemContext ctx(tb1.borrower(), node::CpuConfig{8, 100}, "rec");
@@ -100,7 +100,7 @@ TEST(RecorderTest, CapturedTraceReplaysEquivalently) {
   ctx.drain();
   const sim::Time original = ctx.now();
 
-  node::Testbed tb2;
+  node::Cluster tb2(scenario::paper_two_node());
   ASSERT_TRUE(tb2.attach_remote());
   const auto res = replay(tb2.borrower(), rec.trace(), node::Placement::kRemote,
                           node::CpuConfig{8, 100});

@@ -4,13 +4,13 @@
 
 #include <cstdint>
 
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
 
 namespace tfsim::workloads {
 namespace {
 
 struct Fixture {
-  node::Testbed tb;
+  node::Cluster tb{scenario::paper_two_node()};
   Fixture() { tb.attach_remote(); }
   node::MemContext ctx() {
     return node::MemContext(tb.borrower(), node::CpuConfig{8, 100}, "t");

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "node/testbed.hpp"
+#include "node/cluster.hpp"
 #include "workloads/stream/stream_flow.hpp"
 
 namespace tfsim::workloads {
@@ -16,7 +16,7 @@ StreamConfig small_stream(std::uint64_t elements = 1'000'000) {
 }
 
 TEST(StreamTest, AllKernelsValidateNumerically) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   Stream s(tb.borrower(), small_stream());
   const auto res = s.run();
@@ -32,7 +32,7 @@ TEST(StreamTest, AllKernelsValidateNumerically) {
 }
 
 TEST(StreamTest, MultipleRepetitionsStillValidate) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   auto cfg = small_stream(50'000);
   cfg.repetitions = 3;
@@ -41,7 +41,7 @@ TEST(StreamTest, MultipleRepetitionsStillValidate) {
 }
 
 TEST(StreamTest, BytesCountsMatchStreamConvention) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   const auto cfg = small_stream();
   Stream s(tb.borrower(), cfg);
@@ -54,12 +54,12 @@ TEST(StreamTest, BytesCountsMatchStreamConvention) {
 }
 
 TEST(StreamTest, DelayInjectionDegradesBandwidthAndRaisesLatency) {
-  node::Testbed tb1;
+  node::Cluster tb1(scenario::paper_two_node());
   ASSERT_TRUE(tb1.attach_remote());
   Stream fast(tb1.borrower(), small_stream());
   const auto base = fast.run();
 
-  node::Testbed tb2;
+  node::Cluster tb2(scenario::paper_two_node());
   tb2.set_period(100);
   ASSERT_TRUE(tb2.attach_remote());
   Stream slow(tb2.borrower(), small_stream());
@@ -71,13 +71,13 @@ TEST(StreamTest, DelayInjectionDegradesBandwidthAndRaisesLatency) {
 }
 
 TEST(StreamTest, LocalPlacementIsFaster) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   auto remote_cfg = small_stream();
   Stream remote(tb.borrower(), remote_cfg);
   const auto r = remote.run();
 
-  node::Testbed tb2;
+  node::Cluster tb2(scenario::paper_two_node());
   auto local_cfg = small_stream();
   local_cfg.placement = node::Placement::kLocal;
   Stream local(tb2.borrower(), local_cfg);
@@ -86,7 +86,7 @@ TEST(StreamTest, LocalPlacementIsFaster) {
 }
 
 TEST(StreamTest, FootprintMatchesConfig) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   const auto cfg = small_stream();
   Stream s(tb.borrower(), cfg);
@@ -96,7 +96,7 @@ TEST(StreamTest, FootprintMatchesConfig) {
 // --- closed-loop flows ---------------------------------------------------
 
 TEST(StreamFlowTest, RemoteFlowMovesLines) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   FlowConfig cfg;
   cfg.concurrency = 8;
@@ -114,7 +114,7 @@ TEST(StreamFlowTest, RemoteFlowMovesLines) {
 
 TEST(StreamFlowTest, BandwidthScalesWithConcurrencyUntilSaturation) {
   auto run_with = [](std::uint32_t lanes) {
-    node::Testbed tb;
+    node::Cluster tb(scenario::paper_two_node());
     tb.attach_remote();
     FlowConfig cfg;
     cfg.concurrency = lanes;
@@ -134,7 +134,7 @@ TEST(StreamFlowTest, BandwidthScalesWithConcurrencyUntilSaturation) {
 }
 
 TEST(StreamFlowTest, TwoFlowsShareEqually) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   FlowConfig cfg;
   cfg.concurrency = 128;
@@ -154,7 +154,7 @@ TEST(StreamFlowTest, TwoFlowsShareEqually) {
 }
 
 TEST(StreamFlowTest, LocalFlowConsumesLenderBus) {
-  node::Testbed tb;
+  node::Cluster tb(scenario::paper_two_node());
   ASSERT_TRUE(tb.attach_remote());
   FlowConfig cfg;
   cfg.concurrency = 16;

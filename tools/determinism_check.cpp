@@ -25,10 +25,8 @@
 //      engine+RNG simulations executed serially and on a 4-worker pool
 //      must produce byte-identical result vectors (the property every
 //      TFSIM_JOBS>1 figure sweep relies on);
-//   6. the Testbed -> Cluster refactor guard: the two-node testbed wired
-//      by hand (the pre-refactor assembly order) and the one built by
-//      node::Cluster from the paper scenario must produce byte-identical
-//      mini fig2/fig6-style result tables;
+//   6. unused: the number stays free so 7-11 match their references in
+//      DESIGN.md, EXPERIMENTS.md and the CI workflow;
 //   7. the fault layer: a small (period x loss x flap) resilience matrix
 //      with NIC retry/replay active, computed serially and on an 8-worker
 //      pool, must produce byte-identical probe rows -- the seeded fault
@@ -46,7 +44,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,20 +57,11 @@
 #include "axi/testbench.hpp"
 #include "core/resilience.hpp"
 #include "core/serving.hpp"
-#include "ctrl/control_plane.hpp"
-#include "ctrl/policy.hpp"
-#include "ctrl/registry.hpp"
 #include "golden_runs.hpp"
-#include "node/cluster.hpp"
-#include "node/node.hpp"
-#include "net/network.hpp"
-#include "node/testbed.hpp"
-#include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/sweep.hpp"
-#include "workloads/stream/stream_flow.hpp"
 
 namespace {
 
@@ -304,105 +292,6 @@ bool scenario_sweep(std::uint64_t seed, std::ostringstream& out) {
   return match;
 }
 
-/// Mini fig2/fig6-style table over (PERIOD, instance-count) cells: per-cell
-/// completed lines, bandwidth, and mean latency, formatted as CSV text so
-/// the legacy-vs-Cluster comparison is byte-for-byte.
-std::string mini_table(tfsim::sim::Engine& engine, tfsim::nic::DisaggNic& nic,
-                       tfsim::mem::Addr remote_base) {
-  namespace sim = tfsim::sim;
-  namespace workloads = tfsim::workloads;
-  std::ostringstream csv;
-  csv << "period,instances,lines,gbps,mean_us\n";
-  for (const std::uint64_t period : {std::uint64_t{1}, std::uint64_t{50}}) {
-    for (const int instances : {1, 2}) {
-      nic.set_period(period);
-      const sim::Time start = engine.now();
-      const sim::Time stop = start + sim::from_us(300.0);
-      const std::uint64_t span = 64 * sim::kMiB;
-      std::vector<std::unique_ptr<workloads::RemoteStreamFlow>> flows;
-      for (int i = 0; i < instances; ++i) {
-        workloads::FlowConfig cfg;
-        cfg.concurrency = 32;
-        cfg.base = remote_base + static_cast<std::uint64_t>(i) * span;
-        cfg.span_bytes = span;
-        cfg.stop_at = stop;
-        flows.push_back(std::make_unique<workloads::RemoteStreamFlow>(
-            engine, nic, cfg));
-      }
-      for (auto& f : flows) f->start();
-      engine.run();
-      std::uint64_t lines = 0;
-      double gbps = 0.0, mean_us = 0.0;
-      for (const auto& f : flows) {
-        lines += f->stats().lines_completed;
-        gbps += f->stats().bandwidth_gbps(stop - start);
-        mean_us += f->stats().latency_us.mean();
-      }
-      char row[128];
-      std::snprintf(row, sizeof row, "%llu,%d,%llu,%.9f,%.9f\n",
-                    static_cast<unsigned long long>(period), instances,
-                    static_cast<unsigned long long>(lines), gbps,
-                    mean_us / instances);
-      csv << row;
-    }
-  }
-  return csv.str();
-}
-
-/// Returns false when the hand-wired two-node testbed (the pre-refactor
-/// Testbed assembly, reproduced inline) and the Cluster-built one diverge.
-bool scenario_cluster_refactor(std::ostringstream& out) {
-  namespace node = tfsim::node;
-  namespace ctrl = tfsim::ctrl;
-  namespace sim = tfsim::sim;
-
-  const node::TestbedSpec spec = node::thymesisflow_testbed();
-
-  // Legacy wiring, in the exact pre-refactor order: nodes, link pair,
-  // registry, control plane (first-fit), lender registration, reserve +
-  // attach of the 16 GiB region.
-  sim::Engine engine;
-  tfsim::net::Network network;
-  node::Node borrower(spec.borrower, engine, network);
-  node::Node lender(spec.lender, engine, network);
-  network.connect(borrower.net_id(), lender.net_id(), spec.link);
-  network.connect(lender.net_id(), borrower.net_id(), spec.link);
-  ctrl::NodeRegistry registry;
-  const auto borrower_reg = registry.add_node(
-      borrower.name(), borrower.dram().config().capacity_bytes);
-  const auto lender_reg =
-      registry.add_node(lender.name(), lender.dram().config().capacity_bytes);
-  registry.set_role(borrower_reg, ctrl::Role::kBorrower);
-  registry.set_role(lender_reg, ctrl::Role::kLender);
-  ctrl::ControlPlane cp(registry, std::make_unique<ctrl::FirstFitPolicy>());
-  borrower.nic().register_lender(lender_reg, lender.net_id(), &lender.dram());
-  const auto reservation = cp.reserve(borrower_reg, spec.remote_gib * sim::kGiB,
-                                      "thymesisflow-borrowed");
-  const auto base =
-      cp.attach(reservation->id, borrower.nic(), borrower.memory_map());
-  const std::string legacy = mini_table(engine, borrower.nic(), *base);
-
-  // The same testbed assembled by Cluster from the declarative scenario.
-  node::Cluster cluster(tfsim::scenario::paper_two_node());
-  cluster.attach_remote();
-  const std::string refactored =
-      mini_table(cluster.engine(), cluster.borrower().nic(),
-                 cluster.remote_base());
-
-  Digest d;
-  for (const char c : refactored) d.add(static_cast<std::uint64_t>(c));
-  const bool match = legacy == refactored;
-  out << "cluster: digest=" << d.h
-      << " legacy==cluster=" << (match ? "yes" : "NO") << "\n";
-  if (!match) {
-    std::fprintf(stderr,
-                 "determinism_check: legacy vs Cluster mini-CSV diverged\n"
-                 "--- legacy ---\n%s--- cluster ---\n%s",
-                 legacy.c_str(), refactored.c_str());
-  }
-  return match;
-}
-
 /// Returns false when the serial and 8-worker fault matrices diverge.  Each
 /// point builds its own Cluster with loss/corruption/flaps active, so this
 /// covers the whole fault stack: FaultPlan streams, FaultyLink decoration,
@@ -530,7 +419,6 @@ std::string run_all(std::uint64_t seed, bool& sweep_ok) {
   scenario_axi(seed, out);
   sweep_ok = scenario_settle_equiv(seed, out) && sweep_ok;
   sweep_ok = scenario_sweep(seed, out) && sweep_ok;
-  sweep_ok = scenario_cluster_refactor(out) && sweep_ok;
   sweep_ok = scenario_faults(seed, out) && sweep_ok;
   scenario_pdes(seed, out);
   sweep_ok = scenario_fabric(seed, out) && sweep_ok;
