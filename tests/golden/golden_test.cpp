@@ -97,6 +97,15 @@ std::vector<std::pair<std::string, Producer>> reference_runs() {
   }
   runs.emplace_back("closed_bfs/scale=13/period=64",
                     [] { return row_of(closed_bfs(13, 64)); });
+  // The application cells of Fig. 5 and Table I: SSSP, a local-memory
+  // baseline and Redis under Memtier.
+  runs.emplace_back("closed_bfs/scale=13/local", [] {
+    return row_of(closed_bfs(13, 1, node::Placement::kLocal));
+  });
+  runs.emplace_back("closed_sssp/scale=13/period=64",
+                    [] { return row_of(closed_sssp(13, 64)); });
+  runs.emplace_back("closed_memtier/period=1/keys=2000/requests=20",
+                    [] { return row_of(closed_memtier(1, 2000, 20)); });
   runs.emplace_back("closed_mixed/lines=100000",
                     [] { return row_of(closed_mixed(100'000)); });
   runs.emplace_back("closed_qos/reserved=16/lines=40000",

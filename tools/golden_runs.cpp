@@ -17,6 +17,8 @@
 #include "sim/pdes.hpp"
 #include "sim/rng.hpp"
 #include "workloads/graph500/graph500.hpp"
+#include "workloads/kvstore/kvstore.hpp"
+#include "workloads/kvstore/memtier.hpp"
 #include "workloads/stream/stream.hpp"
 
 namespace tfsim::golden {
@@ -374,22 +376,74 @@ Run closed_stream(std::uint64_t period, std::uint64_t elements) {
   return finish_closed(*cluster, os);
 }
 
-Run closed_bfs(std::uint32_t scale, std::uint64_t period) {
-  auto cluster = twonode(period);
+namespace {
+
+/// A host array's exact bytes, digested.
+template <typename T>
+std::uint64_t digest_of(const std::vector<T>& v) {
+  return core::fnv1a(std::string(reinterpret_cast<const char*>(v.data()),
+                                 v.size() * sizeof(T)));
+}
+
+workloads::g500::Graph500Config graph_config(std::uint32_t scale,
+                                             node::Placement placement) {
   workloads::g500::Graph500Config cfg;
   cfg.gen.scale = scale;
   cfg.gen.edgefactor = 16;
-  workloads::g500::Graph500 graph(cluster->borrower(), cfg);
+  cfg.placement = placement;
+  return cfg;
+}
+
+}  // namespace
+
+Run closed_bfs(std::uint32_t scale, std::uint64_t period,
+               node::Placement placement) {
+  auto cluster = twonode(period);
+  workloads::g500::Graph500 graph(cluster->borrower(),
+                                  graph_config(scale, placement));
   const sim::Time construction = graph.run_construction();
   const auto bfs = graph.run_bfs(1);
   std::ostringstream os;
   os << "k1=" << construction << " bfs=" << bfs.elapsed
      << " visited=" << bfs.vertices_visited
-     << " edges=" << bfs.edges_traversed << " parents="
-     << core::fnv1a(std::string(
-            reinterpret_cast<const char*>(bfs.parent.data()),
-            bfs.parent.size() * sizeof(bfs.parent[0])))
+     << " edges=" << bfs.edges_traversed << " parents=" << digest_of(bfs.parent)
      << ";";
+  return finish_closed(*cluster, os);
+}
+
+Run closed_sssp(std::uint32_t scale, std::uint64_t period) {
+  auto cluster = twonode(period);
+  workloads::g500::Graph500 graph(
+      cluster->borrower(), graph_config(scale, node::Placement::kRemote));
+  const sim::Time construction = graph.run_construction();
+  const auto sssp = graph.run_sssp(1);
+  std::ostringstream os;
+  os << "k1=" << construction << " sssp=" << sssp.elapsed
+     << " visited=" << sssp.vertices_visited
+     << " edges=" << sssp.edges_relaxed << " dist=" << digest_of(sssp.dist)
+     << " parents=" << digest_of(sssp.parent) << ";";
+  return finish_closed(*cluster, os);
+}
+
+Run closed_memtier(std::uint64_t period, std::uint64_t keys,
+                   std::uint64_t requests) {
+  auto cluster = twonode(period);
+  workloads::kv::KvStore store(cluster->borrower(),
+                               workloads::kv::KvStoreConfig{});
+  workloads::kv::MemtierConfig cfg;
+  cfg.key_space = keys;
+  cfg.requests_per_client = requests;
+  workloads::kv::Memtier memtier(cluster->borrower(), store, cfg);
+  const workloads::kv::MemtierResult res = memtier.run();
+  const sim::Histogram& h = res.latency_us;
+  std::ostringstream os;
+  os << "req=" << res.requests << " gets=" << res.gets << " sets=" << res.sets
+     << " hits=" << res.hits << " t=" << res.elapsed
+     << " populate=" << res.populate_elapsed
+     << " valid=" << res.validated << " service="
+     << exact(res.avg_service_us) << " lat=" << h.count() << "/"
+     << exact(h.mean()) << "/" << exact(h.p50()) << "/" << exact(h.p99())
+     << "/" << exact(h.max()) << ";";
   return finish_closed(*cluster, os);
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/serving.hpp"
+#include "node/node.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/units.hpp"
 
@@ -55,8 +56,19 @@ Run random_fabric(std::uint64_t seed, int hops_per_node);
 Run closed_stream(std::uint64_t period, std::uint64_t elements);
 
 /// Graph500 kernel-1 replay plus BFS from root 1 on a scale-`scale`,
-/// edgefactor-16 graph in remote memory at injector PERIOD `period`.
-Run closed_bfs(std::uint32_t scale, std::uint64_t period);
+/// edgefactor-16 graph placed per `placement` at injector PERIOD `period`.
+Run closed_bfs(std::uint32_t scale, std::uint64_t period,
+               node::Placement placement = node::Placement::kRemote);
+
+/// The same graph's kernel-1 replay plus SSSP from root 1, in remote memory.
+Run closed_sssp(std::uint32_t scale, std::uint64_t period);
+
+/// The Redis-like store in remote memory at injector PERIOD `period` under
+/// the default Memtier client mix over `keys` keys, `requests` requests per
+/// client: the request counts, completion time, latency histogram summary
+/// and GET validation.
+Run closed_memtier(std::uint64_t period, std::uint64_t keys,
+                   std::uint64_t requests);
 
 /// One context streaming `lines` lines of a remote and of a local array in
 /// lockstep: every local miss is issued after remote misses yet completes
