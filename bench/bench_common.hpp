@@ -1,4 +1,4 @@
-// Shared helpers for the per-figure bench binaries.
+// Shared helpers for the bench binaries.
 //
 // Experiment sizing comes from environment variables (defaults reproduce
 // the paper's shapes at laptop-friendly sizes; set TFSIM_FULL=1 for the
@@ -163,6 +163,20 @@ inline std::vector<T> axis_values(const std::vector<std::int64_t>& cli,
   }
   if (!spec_axis.empty()) return spec_axis;
   return fallback;
+}
+
+/// `spec` with its injector at `period`, for one point of a PERIOD axis.
+/// A delay distribution replaces the PERIOD gate, so every PERIOD would run
+/// the same injector under a different label: exit 2 instead.  Call it
+/// before the fan-out, on the calling thread.
+inline scenario::ScenarioSpec at_period(scenario::ScenarioSpec spec,
+                                        std::uint64_t period) {
+  if (spec.injector.dist_kind.has_value()) {
+    std::fprintf(stderr, "error: %s\n", scenario::kPeriodsNeedGate);
+    std::exit(2);
+  }
+  spec.injector.period = period;
+  return spec;
 }
 
 /// Echo the fully-resolved spec (defaults filled in, overrides applied)

@@ -32,7 +32,7 @@ struct Point {
   std::uint32_t borrowers = 0;  ///< 0 = keep the scenario's declared count
   std::uint32_t lenders = 0;    ///< 0 = keep the scenario's declared count
   std::uint32_t instances = 1;  ///< concurrent flows per borrower
-  std::uint64_t period = 1;
+  scenario::ScenarioSpec spec;  ///< the scenario at this point's PERIOD
 };
 
 struct Row {
@@ -44,11 +44,10 @@ struct Row {
   double max_borrower_gbps = 0.0;
 };
 
-Row run_point(const scenario::ScenarioSpec& base, const Point& p) {
-  scenario::ScenarioSpec spec = base;
+Row run_point(const Point& p) {
+  scenario::ScenarioSpec spec = p.spec;
   if (p.borrowers > 0) spec.set_borrower_count(p.borrowers);
   if (p.lenders > 0) spec.set_lender_count(p.lenders);
-  spec.injector.period = p.period;
 
   node::Cluster cluster(spec);
   Row row;
@@ -105,7 +104,8 @@ void print_table(const std::string& scenario_name, const std::vector<Row>& rows)
        "min/max borrower (GB/s)"});
   for (const auto& r : rows) {
     table.row({std::to_string(r.p.borrowers), std::to_string(r.p.lenders),
-               std::to_string(r.p.instances), std::to_string(r.p.period),
+               std::to_string(r.p.instances),
+               std::to_string(r.p.spec.injector.period),
                r.attached ? "yes" : "NO",
                core::Table::num(r.aggregate_gbps, 3),
                core::Table::num(r.per_borrower_gbps, 3),
@@ -146,14 +146,12 @@ int main(int argc, char** argv) {
     for (const auto l : lenders) {
       for (const auto i : instances) {
         for (const auto period : periods) {
-          points.push_back({b, l, i, period});
+          points.push_back({b, l, i, bench::at_period(spec, period)});
         }
       }
     }
   }
-  const auto rows =
-      bench::run_sweep("scenario_pooling", points,
-                       [&](const Point& p) { return run_point(spec, p); });
+  const auto rows = bench::run_sweep("scenario_pooling", points, run_point);
 
   // Record the axes actually swept in the provenance echo.
   spec.sweep.periods = periods;

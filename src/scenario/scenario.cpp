@@ -648,6 +648,8 @@ void validate(ScenarioSpec& spec) {
     need(topo.kind != TopologyKind::kLeafSpine || topo.uplink.propagation > 0,
          "topology.uplink.propagation_ns", msg);
   }
+  need(spec.sweep.periods.empty() || !spec.injector.dist_kind.has_value(),
+       "sweep.periods", kPeriodsNeedGate);
   const double lookahead_ns = spec.pdes.lookahead_ns;
   need(lookahead_ns == 0.0 || sim::from_ns(lookahead_ns) > 0,
        "pdes.lookahead_ns", "must be 0 (derived) or at least 0.001");

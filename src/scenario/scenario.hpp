@@ -86,6 +86,14 @@ struct InjectorSpec {
   std::uint64_t dist_seed = 42;
 };
 
+/// Why a PERIOD axis and a delay distribution exclude each other.  The
+/// parse error on `sweep.periods` and the bench drivers' PERIOD setter both
+/// print it.
+inline constexpr const char* kPeriodsNeedGate =
+    "a PERIOD axis cannot apply when injector.distribution is set (the "
+    "distribution replaces the PERIOD gate, so every PERIOD would run the "
+    "same injector)";
+
 /// One remote-memory reservation request.  `borrower` empty = applies to
 /// every borrower node.  `chunks` > 1 splits the size into equal chunks
 /// reserved one at a time through the placement policy -- with "most-free"

@@ -215,7 +215,7 @@ LinearFit linear_fit(const std::vector<double>& x, const std::vector<double>& y)
   if (sxx == 0.0) return fit;
   fit.slope = sxy / sxx;
   fit.intercept = my - fit.slope * mx;
-  fit.r2 = (syy == 0.0) ? 1.0 : (sxy * sxy) / (sxx * syy);
+  fit.r2 = (syy == 0.0) ? std::nan("") : (sxy * sxy) / (sxx * syy);
   return fit;
 }
 

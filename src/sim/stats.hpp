@@ -117,6 +117,9 @@ struct LinearFit {
 };
 /// Precondition: x.size() == y.size(); throws std::invalid_argument
 /// otherwise (mismatched series are a caller bug, never truncated).
+/// Fewer than two points or a constant x leave the zero-initialised fit.
+/// A constant y fits exactly with slope 0, but explains no variance, so
+/// its r2 is NaN (undefined), never a perfect 1.
 LinearFit linear_fit(const std::vector<double>& x, const std::vector<double>& y);
 
 }  // namespace tfsim::sim

@@ -363,6 +363,23 @@ TEST(ScenarioJsonTest, InvalidValuesRejected) {
                   "pdes.threads >= 1");
 }
 
+TEST(ScenarioJsonTest, PeriodAxisRejectedWithDistribution) {
+  // A distribution replaces the PERIOD gate, so each swept PERIOD would run
+  // the same injector under a different label.
+  const std::string what = rejection(R"({"nodes": [{"name": "b"}],
+      "injector": {"distribution": "exponential", "mean_us": 2},
+      "sweep": {"periods": [1, 64]}})");
+  EXPECT_NE(what.find("sweep.periods: "), std::string::npos) << what;
+  EXPECT_NE(what.find("injector.distribution"), std::string::npos) << what;
+  // Either one alone parses.
+  EXPECT_EQ(rejection(R"({"nodes": [{"name": "b"}],
+      "injector": {"distribution": "exponential", "mean_us": 2}})"),
+            "");
+  EXPECT_EQ(rejection(R"({"nodes": [{"name": "b"}],
+      "sweep": {"periods": [1, 64]}})"),
+            "");
+}
+
 TEST(ScenarioJsonTest, DeepNestingRejectedWithoutOverflow) {
   // A recursive-descent parser without a depth cap overflows its stack here.
   const std::size_t depth = 200'000;
@@ -475,9 +492,15 @@ TEST(ScenarioSchemaTest, EveryFieldRoundTripsAtANonDefaultValue) {
     }
     const Json* cur = leaf_at(base, path);
     ASSERT_NE(cur, nullptr) << path << " is not in the dump";
+    // A delay distribution excludes a PERIOD axis, so it is set on a base
+    // with an empty sweep.periods.
+    const Json field_base =
+        path == "injector.distribution"
+            ? with_leaf(base, "", "sweep.periods", Json::array())
+            : base;
     bool round_tripped = false;
     for (const Json& value : candidates(f, *cur)) {
-      const std::string text = with_leaf(base, "", path, value).dump();
+      const std::string text = with_leaf(field_base, "", path, value).dump();
       if (!rejection(text).empty()) continue;  // a cross-field rule said no
       const std::string dumped = resolved_json(parse(text));
       EXPECT_EQ(resolved_json(parse(dumped)), dumped) << path;

@@ -346,6 +346,15 @@ TEST(LinearFitTest, DegenerateInputs) {
   EXPECT_EQ(linear_fit({3, 3, 3}, {1, 2, 3}).slope, 0.0);
 }
 
+TEST(LinearFitTest, ConstantSeriesHasUndefinedR2) {
+  // A flat series is fit exactly by slope 0, but there is no variance to
+  // explain: r2 is undefined, not a perfect fit.
+  const auto fit = linear_fit({1, 2, 3, 4}, {7, 7, 7, 7});
+  EXPECT_EQ(fit.slope, 0.0);
+  EXPECT_EQ(fit.intercept, 7.0);
+  EXPECT_TRUE(std::isnan(fit.r2));
+}
+
 TEST(LinearFitTest, MismatchedLengthsThrow) {
   // Regression: mismatched series used to be silently truncated, fitting a
   // line through accidentally re-paired points.
