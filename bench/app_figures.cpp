@@ -158,8 +158,8 @@ int main(int argc, char** argv) {
       "Figure 5 and Table I: application degradation vs injection PERIOD");
   args.add_string("scenario", "paper_twonode",
                   "scenario name (scenarios/<name>.json) or path");
-  args.add_string("periods", "",
-                  "Figure 5 PERIOD axis override (comma-separated)");
+  args.add_int_list("periods", "",
+                    "Figure 5 PERIOD axis override (comma-separated)");
   if (!args.parse(argc, argv)) return 1;
 
   scenario::ScenarioSpec spec = bench::load_scenario(args.str("scenario"));

@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
       "Fabric contention: leaf/spine RTT cliff vs the dumbbell trunk");
   args.add_string("scenario", "leafspine_rack128",
                   "scenario name (scenarios/<name>.json) or path");
-  args.add_string("borrowers", "",
-                  "borrower-pair axis override (comma-separated)");
+  args.add_int_list("borrowers", "",
+                    "borrower-pair axis override (comma-separated)");
   if (!args.parse(argc, argv)) return 1;
 
   scenario::ScenarioSpec spec = bench::load_scenario(args.str("scenario"));

@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
       "Figure 6: memory contention at the borrower node (MCBN)");
   args.add_string("scenario", "paper_twonode",
                   "scenario name (scenarios/<name>.json) or path");
-  args.add_string("instances", "",
-                  "STREAM instance-count axis override (comma-separated)");
+  args.add_int_list("instances", "",
+                    "STREAM instance-count axis override (comma-separated)");
   if (!args.parse(argc, argv)) return 1;
 
   scenario::ScenarioSpec spec = bench::load_scenario(args.str("scenario"));

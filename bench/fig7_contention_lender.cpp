@@ -89,8 +89,9 @@ int main(int argc, char** argv) {
       "Figure 7: memory contention at the lender node (MCLN)");
   args.add_string("scenario", "paper_twonode",
                   "scenario name (scenarios/<name>.json) or path");
-  args.add_string("instances", "",
-                  "lender-side STREAM instance axis override (comma-separated)");
+  args.add_int_list("instances", "",
+                    "lender-side STREAM instance axis override "
+                    "(comma-separated)");
   if (!args.parse(argc, argv)) return 1;
 
   scenario::ScenarioSpec spec = bench::load_scenario(args.str("scenario"));

@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
       "Resilience matrix: health classification under (PERIOD x loss x flap)");
   args.add_string("scenario", "paper_twonode",
                   "scenario name (scenarios/<name>.json) or path");
-  args.add_string("periods", "", "PERIOD axis override (comma-separated)");
-  args.add_string("loss", "", "loss-rate axis override (comma-separated)");
+  args.add_int_list("periods", "", "PERIOD axis override (comma-separated)");
+  args.add_double_list("loss", "", "loss-rate axis override (comma-separated)");
   args.add_int("accesses", 2000, "closed-loop probe accesses per point");
   args.add_int("seed", 1, "fault-stream seed");
   args.add_flag("smoke", "tiny matrix for CI (fast, still hits every class)");

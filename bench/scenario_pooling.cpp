@@ -124,11 +124,11 @@ int main(int argc, char** argv) {
       "PERIOD injection on any scenarios/*.json testbed");
   args.add_string("scenario", "pooling_1xN",
                   "scenario name (scenarios/<name>.json) or path");
-  args.add_string("periods", "", "injector PERIOD axis (comma-separated)");
-  args.add_string("lenders", "", "lender-count axis (comma-separated)");
-  args.add_string("borrowers", "", "borrower-count axis (comma-separated)");
-  args.add_string("instances", "",
-                  "flows per borrower axis (comma-separated)");
+  args.add_int_list("periods", "", "injector PERIOD axis (comma-separated)");
+  args.add_int_list("lenders", "", "lender-count axis (comma-separated)");
+  args.add_int_list("borrowers", "", "borrower-count axis (comma-separated)");
+  args.add_int_list("instances", "",
+                    "flows per borrower axis (comma-separated)");
   if (!args.parse(argc, argv)) return 1;
 
   scenario::ScenarioSpec spec = bench::load_scenario(args.str("scenario"));

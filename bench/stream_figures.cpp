@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
       "Figures 2 and 3: STREAM latency and bandwidth vs injection PERIOD");
   args.add_string("scenario", "paper_twonode",
                   "scenario name (scenarios/<name>.json) or path");
-  args.add_string("periods", "", "PERIOD axis override (comma-separated)");
+  args.add_int_list("periods", "", "PERIOD axis override (comma-separated)");
   if (!args.parse(argc, argv)) return 1;
 
   scenario::ScenarioSpec spec = bench::load_scenario(args.str("scenario"));

@@ -1,19 +1,21 @@
-// Delay-injection sweep: characterize any workload's sensitivity to remote
-// memory latency, with fixed-PERIOD or distribution-driven injection.
+// Delay sweep: characterize any workload's sensitivity to the *mean*
+// injected remote-memory delay, fractional microseconds allowed.
 //
-//   ./delay_sweep --workload=stream|bfs|redis [--periods=1,8,64,512]
-//                 [--dist=lognormal --mean-us=5] [--csv=sweep.csv]
-//                 [--delays-us=0.5,2,10] [--scenario=paper_twonode]
+//   ./delay_sweep --workload=stream|bfs|redis [--delays-us=0.5,2,10]
+//                 [--dist=lognormal] [--csv=sweep.csv]
+//                 [--scenario=paper_twonode]
 //
-// Two sweep modes: --periods sweeps the fixed-PERIOD injector (the paper's
-// methodology); --delays-us sweeps the *mean injected delay* directly in
-// distribution mode (--dist, default fixed) -- fractional microseconds
-// allowed.  The testbed itself comes from a scenario file.
+// The injector runs in distribution mode (--dist, default fixed) at each
+// mean delay, an axis no bench sweeps; the paper's fixed-PERIOD axis is
+// bench/stream_figures' and bench/app_figures'.  The testbed itself comes
+// from a scenario file.
 //
 // Demonstrates the characterization API end to end: one fresh Session per
-// configuration fanned out across $TFSIM_JOBS workers (sim::SweepRunner),
+// delay fanned out across $TFSIM_JOBS workers (sim::SweepRunner),
 // paper-style degradation reporting, CSV export.
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,50 +34,21 @@ namespace {
 struct SweepPoint {
   std::string label;
   sim::Time elapsed = 0;
-  double extra_metric = 0.0;  // bandwidth / ops / teps depending on workload
+  double extra_metric = 0.0;  // bandwidth / ops depending on workload
   bool attached = true;       // false reproduces the Fig. 4 device-lost case
   std::string error;          // non-empty: validation failure (fatal)
 };
 
-/// One sweep cell: either a fixed-PERIOD point or a distribution-mode
-/// point at a given mean delay (delay_us >= 0 selects the latter).
-struct SweepCfg {
-  std::int64_t period = 1;
-  double delay_us = -1.0;
-  std::string label;
-};
-
-core::SessionConfig make_session_cfg(const sim::ArgParser& args,
-                                     const scenario::ScenarioSpec& spec,
-                                     const SweepCfg& point) {
-  core::SessionConfig cfg;
-  cfg.scenario = spec;
-  auto& inj = cfg.scenario.injector;
-  if (point.delay_us >= 0.0) {
-    const std::string dist = args.str("dist");
-    inj.dist_kind = net::parse_dist_kind(dist.empty() ? "fixed" : dist);
-    inj.dist_mean_us = point.delay_us;
-  } else {
-    inj.period = static_cast<std::uint64_t>(point.period);
-    if (!args.str("dist").empty()) {
-      inj.dist_kind = net::parse_dist_kind(args.str("dist"));
-      inj.dist_mean_us = args.real("mean-us");
-    }
-  }
-  return cfg;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  sim::ArgParser args("delay_sweep: workload sensitivity to injected delay");
+  sim::ArgParser args("delay_sweep: workload sensitivity to mean injected delay");
   args.add_string("workload", "stream", "stream | bfs | redis");
-  args.add_string("periods", "1,8,64,512", "injector PERIOD sweep");
-  args.add_string("dist", "", "distribution mode: fixed|uniform|exponential|lognormal|pareto");
-  args.add_double("mean-us", 2.0, "mean injected delay (distribution mode)");
-  args.add_string("delays-us", "",
-                  "sweep mean injected delay instead of PERIOD "
-                  "(comma-separated us, fractions allowed)");
+  args.add_double_list("delays-us", "0.5,2,10",
+                       "mean injected delays to sweep (comma-separated us, "
+                       "fractions allowed)");
+  args.add_string("dist", "fixed",
+                  "delay distribution: fixed|uniform|exponential|lognormal|pareto");
   args.add_string("scenario", "paper_twonode",
                   "testbed scenario name (scenarios/<name>.json) or path");
   args.add_int("stream-elements", 2'000'000, "STREAM array elements");
@@ -89,6 +62,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown workload: %s\n", workload.c_str());
     return 1;
   }
+  const std::vector<double> delays = args.double_list("delays-us");
+  if (delays.empty()) {
+    std::fprintf(stderr, "--delays-us: give at least one delay\n");
+    return 2;
+  }
+  for (const double d : delays) {
+    if (!std::isfinite(d) || d < 0.0) {
+      std::fprintf(stderr,
+                   "--delays-us: %g is not a finite, non-negative delay\n", d);
+      return 2;
+    }
+  }
 
   // Pre-generate shared inputs once, before the parallel fan-out.
   workloads::g500::Graph500Config gcfg;
@@ -98,33 +83,33 @@ int main(int argc, char** argv) {
 
   const scenario::ScenarioSpec spec =
       bench::load_scenario(args.str("scenario"));
-
-  // Sweep axis: mean injected delays (distribution mode) when --delays-us
-  // is given, injector PERIODs otherwise.
-  std::vector<SweepCfg> cells;
-  if (const auto delays = args.double_list("delays-us"); !delays.empty()) {
-    for (const double d : delays) {
-      char label[32];
-      std::snprintf(label, sizeof label, "%g us", d);
-      cells.push_back({1, d, label});
-    }
-  } else {
-    for (const auto period : args.int_list("periods")) {
-      cells.push_back({period, -1.0, std::to_string(period)});
-    }
+  net::DistKind dist = net::DistKind::kFixed;
+  try {
+    dist = net::parse_dist_kind(args.str("dist"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "--dist: %s\n", e.what());
+    return 2;
   }
-  auto run_point = [&](const SweepCfg& cell) {
+
+  auto run_point = [&](double delay_us) {
     SweepPoint p;
-    p.label = cell.label;
-    core::Session session(make_session_cfg(args, spec, cell));
+    char label[32];
+    std::snprintf(label, sizeof label, "%g us", delay_us);
+    p.label = label;
+    core::SessionConfig cfg;
+    cfg.scenario = spec;
+    cfg.scenario.injector.dist_kind = dist;
+    cfg.scenario.injector.dist_mean_us = delay_us;
+    core::Session session(cfg);
     if (!session.attached()) {
       p.attached = false;
       return p;
     }
     if (workload == "stream") {
-      workloads::StreamConfig cfg;
-      cfg.elements = static_cast<std::uint64_t>(args.integer("stream-elements"));
-      const auto res = session.run_stream(cfg);
+      workloads::StreamConfig scfg;
+      scfg.elements =
+          static_cast<std::uint64_t>(args.integer("stream-elements"));
+      const auto res = session.run_stream(scfg);
       p.elapsed = res.total_elapsed;
       p.extra_metric = res.best_bandwidth_gbps;
     } else if (workload == "bfs") {
@@ -143,9 +128,9 @@ int main(int argc, char** argv) {
     }
     return p;
   };
-  // One independent Session per cell: fan out across $TFSIM_JOBS workers
+  // One independent Session per delay: fan out across $TFSIM_JOBS workers
   // (serial when unset); results come back in input order either way.
-  std::vector<SweepPoint> points = sim::SweepRunner().map(cells, run_point);
+  std::vector<SweepPoint> points = sim::SweepRunner().map(delays, run_point);
 
   for (auto it = points.begin(); it != points.end();) {
     if (!it->error.empty()) {
@@ -153,7 +138,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!it->attached) {
-      std::fprintf(stderr, "PERIOD %s: attach failed (device lost)\n",
+      std::fprintf(stderr, "%s: attach failed (device lost)\n",
                    it->label.c_str());
       it = points.erase(it);
     } else {
@@ -166,10 +151,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const bool delay_mode = !args.double_list("delays-us").empty();
   core::Table table("delay sweep: " + workload,
-                    {delay_mode ? "mean delay" : "PERIOD", "elapsed (ms)",
-                     "degradation vs first",
+                    {"mean delay", "elapsed (ms)", "degradation vs first",
                      workload == "redis" ? "ops/sec" : "bandwidth (GB/s)"});
   for (const auto& p : points) {
     table.row({p.label, core::Table::num(sim::to_ms(p.elapsed), 2),

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   sim::ArgParser args(
       "quickstart: STREAM on disaggregated memory under delay injection");
   args.add_int("elements", 10'000'000, "STREAM array elements (doubles)");
-  args.add_string("periods", "1,10,100,400", "injector PERIOD values");
+  args.add_int_list("periods", "1,10,100,400", "injector PERIOD values");
   if (!args.parse(argc, argv)) return 1;
 
   workloads::StreamConfig stream_cfg;

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   sim::ArgParser args("trace_replay: characterize any recorded access trace");
   args.add_string("trace", "", "trace file to replay (empty: synthesize one)");
   args.add_string("save", "", "write the trace being used to this file");
-  args.add_string("periods", "1,100,1000", "injector PERIOD sweep");
+  args.add_int_list("periods", "1,100,1000", "injector PERIOD sweep");
   if (!args.parse(argc, argv)) return 1;
 
   Trace trace;

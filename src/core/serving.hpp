@@ -8,8 +8,8 @@
 // same way.  All mutable state is domain-owned: borrower-side source and
 // tracker state is touched only by borrower-domain events, lender-side
 // queue/credit state only by lender-domain events — which is what makes the
-// whole run a pure function of the spec (the golden digest table pins it;
-// determinism_check scenario 10 runs it twice).
+// whole run a pure function of the spec (the golden digest table pins it,
+// and golden_tests runs its serving_2ms rows twice in one process).
 //
 // Control-plane decisions (admission, placement, failover chains) are made
 // up front by ctrl::ServingController; mid-run lender death is handled
@@ -76,7 +76,7 @@ struct ServingReport {
 /// them; set pdes.threads = 1).
 ServingReport run_serving(node::Cluster& cluster);
 
-/// FNV-1a 64-bit (shared by the serving bench and determinism_check).
+/// FNV-1a 64-bit (shared by the serving bench and the golden digest table).
 std::uint64_t fnv1a(const std::string& s);
 
 }  // namespace tfsim::core

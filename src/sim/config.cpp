@@ -1,10 +1,64 @@
 #include "sim/config.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace tfsim::sim {
+
+namespace {
+
+/// Parses the whole of `tok`: no sign-only, trailing or empty input.
+template <typename T>
+bool parse_number(const std::string& tok, T& out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Parses `raw` as one T, or as a comma-separated list of them (empty
+/// entries skipped).  On a malformed token returns false with it in `bad`.
+template <typename T>
+bool parse_numbers(const std::string& raw, bool list, std::vector<T>& out,
+                   std::string& bad) {
+  std::vector<std::string> tokens;
+  if (list) {
+    std::istringstream is(raw);
+    std::string tok;
+    while (std::getline(is, tok, ',')) {
+      if (!tok.empty()) tokens.push_back(tok);
+    }
+  } else {
+    tokens.push_back(raw);
+  }
+  for (const std::string& tok : tokens) {
+    T v{};
+    if (!parse_number(tok, v)) {
+      bad = tok;
+      return false;
+    }
+    out.push_back(v);
+  }
+  return true;
+}
+
+/// parse() has checked every value given on the command line, so a
+/// malformed token here comes from a registered default.
+template <typename T>
+std::vector<T> numbers_of(const std::string& name, const std::string& raw,
+                          bool list) {
+  std::vector<T> out;
+  std::string bad;
+  if (!parse_numbers(raw, list, out, bad)) {
+    throw std::logic_error("ArgParser: malformed default of --" + name +
+                           ": '" + bad + "'");
+  }
+  return out;
+}
+
+}  // namespace
 
 ArgParser::ArgParser(std::string program_description)
     : description_(std::move(program_description)) {}
@@ -28,6 +82,17 @@ void ArgParser::add_double(const std::string& name, double def,
   std::ostringstream os;
   os << def;
   options_[name] = Option{Option::Kind::Double, os.str(), help, std::nullopt};
+}
+
+void ArgParser::add_int_list(const std::string& name, const std::string& def,
+                             const std::string& help) {
+  options_[name] = Option{Option::Kind::IntList, def, help, std::nullopt};
+}
+
+void ArgParser::add_double_list(const std::string& name,
+                                const std::string& def,
+                                const std::string& help) {
+  options_[name] = Option{Option::Kind::DoubleList, def, help, std::nullopt};
 }
 
 bool ArgParser::parse(int argc, const char* const* argv) {
@@ -68,6 +133,32 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       }
       value = argv[++i];
     }
+    std::vector<std::int64_t> ints;
+    std::vector<double> reals;
+    std::string bad;
+    bool ok = true;
+    switch (opt.kind) {
+      case Option::Kind::Int:
+        ok = parse_numbers(value, /*list=*/false, ints, bad);
+        break;
+      case Option::Kind::Double:
+        ok = parse_numbers(value, /*list=*/false, reals, bad);
+        break;
+      case Option::Kind::IntList:
+        ok = parse_numbers(value, /*list=*/true, ints, bad);
+        break;
+      case Option::Kind::DoubleList:
+        ok = parse_numbers(value, /*list=*/true, reals, bad);
+        break;
+      case Option::Kind::Flag:
+      case Option::Kind::String:
+        break;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "option --%s: malformed value '%s'\n", arg.c_str(),
+                   bad.c_str());
+      return false;
+    }
     opt.value = value;
   }
   return true;
@@ -97,36 +188,23 @@ std::string ArgParser::str(const std::string& name) const {
 
 std::int64_t ArgParser::integer(const std::string& name) const {
   const auto& opt = lookup(name, Option::Kind::Int);
-  return std::stoll(opt.value.value_or(opt.def));
+  return numbers_of<std::int64_t>(name, opt.value.value_or(opt.def), false)
+      .front();
 }
 
 double ArgParser::real(const std::string& name) const {
   const auto& opt = lookup(name, Option::Kind::Double);
-  return std::stod(opt.value.value_or(opt.def));
+  return numbers_of<double>(name, opt.value.value_or(opt.def), false).front();
 }
 
 std::vector<std::int64_t> ArgParser::int_list(const std::string& name) const {
-  const auto& opt = lookup(name, Option::Kind::String);
-  const std::string raw = opt.value.value_or(opt.def);
-  std::vector<std::int64_t> out;
-  std::istringstream is(raw);
-  std::string tok;
-  while (std::getline(is, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stoll(tok));
-  }
-  return out;
+  const auto& opt = lookup(name, Option::Kind::IntList);
+  return numbers_of<std::int64_t>(name, opt.value.value_or(opt.def), true);
 }
 
 std::vector<double> ArgParser::double_list(const std::string& name) const {
-  const auto& opt = lookup(name, Option::Kind::String);
-  const std::string raw = opt.value.value_or(opt.def);
-  std::vector<double> out;
-  std::istringstream is(raw);
-  std::string tok;
-  while (std::getline(is, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stod(tok));
-  }
-  return out;
+  const auto& opt = lookup(name, Option::Kind::DoubleList);
+  return numbers_of<double>(name, opt.value.value_or(opt.def), true);
 }
 
 std::string ArgParser::usage() const {

@@ -2,7 +2,9 @@
 //
 // Flags take the form --key=value or --key value; bare --key is a boolean.
 // Every option is registered with a default and a help string, so each
-// binary prints a self-describing --help.
+// binary prints a self-describing --help.  Numeric and list options are
+// checked when parsed: a value that is not wholly a number (or a
+// comma-separated list of them) is rejected, naming the option and token.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +25,15 @@ class ArgParser {
                   const std::string& help);
   void add_int(const std::string& name, std::int64_t def, const std::string& help);
   void add_double(const std::string& name, double def, const std::string& help);
+  /// Comma-separated lists; empty entries are skipped.
+  void add_int_list(const std::string& name, const std::string& def,
+                    const std::string& help);
+  void add_double_list(const std::string& name, const std::string& def,
+                       const std::string& help);
 
-  /// Parse argv.  Returns false (after printing usage) on --help or on an
-  /// unknown/malformed option.
+  /// Parse argv.  Returns false (after printing usage or the offending
+  /// option and token) on --help, on an unknown option, or on a malformed
+  /// int, real or list value.
   bool parse(int argc, const char* const* argv);
 
   bool flag(const std::string& name) const;
@@ -33,17 +41,17 @@ class ArgParser {
   std::int64_t integer(const std::string& name) const;
   double real(const std::string& name) const;
 
-  /// Comma-separated integer list option (e.g. --periods=1,10,100).
+  /// An add_int_list option (e.g. --periods=1,10,100).
   std::vector<std::int64_t> int_list(const std::string& name) const;
 
-  /// Comma-separated double list option (e.g. --delays-us=0.5,1,2.5).
+  /// An add_double_list option (e.g. --delays-us=0.5,1,2.5).
   std::vector<double> double_list(const std::string& name) const;
 
   std::string usage() const;
 
  private:
   struct Option {
-    enum class Kind { Flag, String, Int, Double } kind;
+    enum class Kind { Flag, String, Int, Double, IntList, DoubleList } kind;
     std::string def;
     std::string help;
     std::optional<std::string> value;

@@ -34,8 +34,8 @@ constexpr int kBudget = 40;
 constexpr std::uint64_t kBufferBytes = 4096;
 
 // Closed-loop bounce chains host i -> i+1 across a 2x2 leaf/spine rack,
-// identical to the determinism_check fabric scenario except for the queue
-// policy under test.  Hosts alternate leaves, so every frame contends for
+// identical to golden::leafspine_fabric (the leafspine_fabric golden rows)
+// except for the queue policy under test.  Hosts alternate leaves, so every frame contends for
 // the spine uplinks.
 FabricRun run_fabric(QueuePolicy policy) {
   namespace sim = tfsim::sim;

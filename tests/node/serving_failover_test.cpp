@@ -82,9 +82,9 @@ TEST(ServingFailoverTest, RunServingRequiresTrafficAndPdes) {
   EXPECT_THROW(core::run_serving(no_traffic), std::invalid_argument);
 }
 
-// Golden values for determinism_check's serving configuration: the report
-// digest and the window sequence length the scan-every-domain window loop
-// produced (the golden digest table repeats them as serving_2ms rows).
+// Golden values for golden::compressed_serving at seeds 1 and 42: the
+// report digest and the window sequence length the scan-every-domain window
+// loop produced (the golden digest table repeats them as serving_2ms rows).
 TEST(ServingFailoverTest, GoldenDigestAndWindowCounts) {
   struct Golden {
     std::uint64_t seed;

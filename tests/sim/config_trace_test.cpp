@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "sim/config.hpp"
 #include "sim/trace.hpp"
@@ -15,7 +16,8 @@ ArgParser make_parser() {
   p.add_string("name", "default", "a name");
   p.add_int("count", 7, "a count");
   p.add_double("rate", 2.5, "a rate");
-  p.add_string("list", "1,2,3", "a list");
+  p.add_int_list("list", "1,2,3", "a list");
+  p.add_double_list("reals", "1,2,3", "a list of reals");
   return p;
 }
 
@@ -63,27 +65,73 @@ TEST(ArgParserTest, DefaultListUsedWhenAbsent) {
 
 TEST(ArgParserTest, DoubleListParsing) {
   auto p = make_parser();
-  const char* argv[] = {"prog", "--list=0.5,2,12.25"};
+  const char* argv[] = {"prog", "--reals=0.5,2,12.25"};
   ASSERT_TRUE(p.parse(2, argv));
-  EXPECT_EQ(p.double_list("list"), (std::vector<double>{0.5, 2.0, 12.25}));
+  EXPECT_EQ(p.double_list("reals"), (std::vector<double>{0.5, 2.0, 12.25}));
 }
 
 TEST(ArgParserTest, DoubleListDefaultAndEmptyEntries) {
   auto p = make_parser();
   const char* argv[] = {"prog"};
   ASSERT_TRUE(p.parse(1, argv));
-  EXPECT_EQ(p.double_list("list"), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(p.double_list("reals"), (std::vector<double>{1.0, 2.0, 3.0}));
 
   auto q = make_parser();
-  const char* argv2[] = {"prog", "--list=,1.5,,2.5,"};
+  const char* argv2[] = {"prog", "--reals=,1.5,,2.5,"};
   ASSERT_TRUE(q.parse(2, argv2));
-  EXPECT_EQ(q.double_list("list"), (std::vector<double>{1.5, 2.5}));
+  EXPECT_EQ(q.double_list("reals"), (std::vector<double>{1.5, 2.5}));
 }
 
 TEST(ArgParserTest, UnknownOptionRejected) {
   auto p = make_parser();
   const char* argv[] = {"prog", "--bogus=1"};
   EXPECT_FALSE(p.parse(2, argv));
+}
+
+/// parse()'s verdict on one argument, with what it printed to stderr.
+bool parse_one(const char* arg, std::string& err) {
+  auto p = make_parser();
+  const char* argv[] = {"prog", arg};
+  testing::internal::CaptureStderr();
+  const bool ok = p.parse(2, argv);
+  err = testing::internal::GetCapturedStderr();
+  return ok;
+}
+
+TEST(ArgParserTest, MalformedNumbersRejectedWithOptionAndToken) {
+  struct Case {
+    const char* arg;
+    const char* option;
+    const char* token;
+  };
+  for (const Case& c : {Case{"--count=abc", "--count", "'abc'"},
+                        Case{"--count=2000x", "--count", "'2000x'"},
+                        Case{"--count=1.5", "--count", "'1.5'"},
+                        Case{"--count=", "--count", "''"},
+                        Case{"--rate=0.5q", "--rate", "'0.5q'"},
+                        Case{"--list=1,x", "--list", "'x'"},
+                        Case{"--list=10,20z,30", "--list", "'20z'"},
+                        Case{"--reals=0.5,abc", "--reals", "'abc'"}}) {
+    std::string err;
+    EXPECT_FALSE(parse_one(c.arg, err)) << c.arg;
+    EXPECT_NE(err.find(c.option), std::string::npos) << c.arg << ": " << err;
+    EXPECT_NE(err.find(c.token), std::string::npos) << c.arg << ": " << err;
+  }
+}
+
+TEST(ArgParserTest, WellFormedNumbersAccepted) {
+  for (const char* arg : {"--count=-3", "--rate=1e-3", "--list=", "--reals=-1"}) {
+    std::string err;
+    EXPECT_TRUE(parse_one(arg, err)) << arg << ": " << err;
+  }
+}
+
+TEST(ArgParserTest, MalformedDefaultThrowsOnAccess) {
+  ArgParser p("test program");
+  p.add_int_list("list", "1,two", "a list");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(p.parse(1, argv));
+  EXPECT_THROW(p.int_list("list"), std::logic_error);
 }
 
 TEST(ArgParserTest, HelpReturnsFalse) {
@@ -110,6 +158,7 @@ TEST(ArgParserTest, UnregisteredLookupThrows) {
   ASSERT_TRUE(p.parse(1, argv));
   EXPECT_THROW(p.str("nope"), std::logic_error);
   EXPECT_THROW(p.flag("name"), std::logic_error);  // type mismatch
+  EXPECT_THROW(p.int_list("reals"), std::logic_error);
 }
 
 TEST(ArgParserTest, UsageMentionsAllOptions) {

@@ -276,9 +276,9 @@ TEST(SimlintDriverTest, FindingKeysAreLineFree) {
 TEST(SimlintDriverTest, ScopeForGatesRulesByPath) {
   EXPECT_TRUE(scope_for("src/sim/engine.cpp").r5);
   EXPECT_TRUE(scope_for("src/sim/engine.cpp").r1);
-  EXPECT_FALSE(scope_for("tools/determinism_check.cpp").r5)
+  EXPECT_FALSE(scope_for("tools/golden_runs.cpp").r5)
       << "tools hold no per-node sim state";
-  EXPECT_TRUE(scope_for("tools/determinism_check.cpp").r2);
+  EXPECT_TRUE(scope_for("tools/golden_runs.cpp").r2);
   EXPECT_FALSE(scope_for("tools/simlint/testdata/bad_r1.cpp").any())
       << "fixtures are only linted as explicit extra files";
   EXPECT_FALSE(scope_for("tests/sim/engine_test.cpp").any());

@@ -2,8 +2,8 @@
 // level, clearing the runway for PDES (ROADMAP item 2).  A partitioned
 // engine is only correct if no sim-path code depends on wall-clock time,
 // ambient RNG, pointer values, unordered-container iteration order, or
-// state shared across node partitions -- the properties the
-// determinism_check scenarios can only probe end-to-end.  simlint makes
+// state shared across node partitions -- the properties the golden
+// table's run-twice check can only probe end-to-end.  simlint makes
 // them build-time errors:
 //
 //   R1  no wall-clock / ambient randomness in sim paths: std::chrono,
