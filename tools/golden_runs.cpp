@@ -17,6 +17,7 @@
 #include "axi/router.hpp"
 #include "axi/testbench.hpp"
 #include "bench_common.hpp"
+#include "congestion_probe.hpp"
 #include "core/resilience.hpp"
 #include "fabric_point.hpp"
 #include "net/network.hpp"
@@ -788,6 +789,16 @@ std::vector<std::pair<std::string, Producer>> reference_runs() {
             return Row{r.digest, r.events, r.windows};
           });
     }
+  }
+  // validation_congestion's congested dumbbell: closed-loop NIC traffic
+  // through deliver_ex over two switches and a shared trunk.
+  for (const int pairs : {1, 4, 8}) {
+    runs.emplace_back("congestion_probe/pairs=" + std::to_string(pairs),
+                      [pairs] {
+                        const bench::CongestedProbe p =
+                            bench::run_congested(pairs);
+                        return Row{p.digest, p.events, 0};
+                      });
   }
   // The mid-run lender kill must fail over, or the row pins a run that
   // never took the failover path.
