@@ -61,7 +61,6 @@ void Network::connect(NodeId from, NodeId to, const LinkConfig& cfg) {
     throw std::invalid_argument("Network::connect: duplicate link");
   }
   hop.link = std::make_unique<Link>(cfg, names_[from] + "->" + names_[to]);
-  hop.route = {{from, to}};  // implicit one-hop route
   table_dirty_ = true;
 }
 
@@ -73,35 +72,6 @@ std::string Network::hop_name(const std::pair<NodeId, NodeId>& hop) const {
     return unknown;
   };
   return name(hop.first) + "->" + name(hop.second);
-}
-
-void Network::add_route(NodeId src, NodeId dst,
-                        std::vector<std::pair<NodeId, NodeId>> hops) {
-  if (hops.empty()) {
-    throw std::invalid_argument("Network::add_route: empty path");
-  }
-  for (std::size_t i = 0; i < hops.size(); ++i) {
-    if (!has_link(hops[i].first, hops[i].second)) {
-      throw std::invalid_argument("Network::add_route: hop " +
-                                  std::to_string(i) + " (" +
-                                  hop_name(hops[i]) + ") has no link");
-    }
-  }
-  if (hops.front().first != src || hops.back().second != dst) {
-    throw std::invalid_argument(
-        "Network::add_route: path endpoints mismatch (path " +
-        hop_name({hops.front().first, hops.back().second}) +
-        ", route " + hop_name({src, dst}) + ")");
-  }
-  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-    if (hops[i].second != hops[i + 1].first) {
-      throw std::invalid_argument(
-          "Network::add_route: hop " + std::to_string(i) + " (" +
-          hop_name(hops[i]) + ") is not contiguous with hop " +
-          std::to_string(i + 1) + " (" + hop_name(hops[i + 1]) + ")");
-    }
-  }
-  slot_for_write(src, dst).route = std::move(hops);
 }
 
 void Network::build_routes() {
@@ -131,18 +101,7 @@ const RoutingTable& Network::routing() const {
 }
 
 bool Network::has_route(NodeId src, NodeId dst) const {
-  if (const HopSlot* hop = slot(src, dst);
-      hop != nullptr && !hop->route.empty()) {
-    return true;
-  }
-  ensure_routes();
-  return table_.reachable(src, dst);
-}
-
-sim::Time Network::deliver(sim::Time now, NodeId src, NodeId dst,
-                           std::uint64_t wire_bytes, sim::Priority prio,
-                           std::uint64_t flow_salt) {
-  return deliver_ex(now, src, dst, wire_bytes, prio, flow_salt).arrival;
+  return routing().reachable(src, dst);
 }
 
 bool Network::transmit_hop(Delivery& d, NodeId from, NodeId to,
@@ -192,18 +151,17 @@ Delivery Network::deliver_ex(sim::Time now, NodeId src, NodeId dst,
                              std::uint64_t flow_salt) {
   Delivery d;
   d.arrival = now;
-  if (const HopSlot* path = slot(src, dst);
-      path != nullptr && !path->route.empty()) {
-    for (const auto& hop : path->route) {
-      if (!transmit_hop(d, hop.first, hop.second, wire_bytes, prio)) return d;
-    }
+  // A direct link is the unique shortest path, so the table would pick it
+  // too; taking it here skips the table walk on point-to-point cables.
+  if (has_link(src, dst)) {
+    transmit_hop(d, src, dst, wire_bytes, prio);
     return d;
   }
-  // No explicit route: forward hop by hop from the routing table, striping
-  // across equal-cost links by the flow hash.
+  // Forward hop by hop from the routing table, striping across equal-cost
+  // links by the flow hash.
   ensure_routes();
   if (!table_.reachable(src, dst)) {
-    throw std::invalid_argument("Network::deliver: no route " +
+    throw std::invalid_argument("Network::deliver_ex: no route " +
                                 names_.at(src) + "->" + names_.at(dst));
   }
   NodeId cur = src;

@@ -9,12 +9,13 @@
 // borrower-lender traffic stripes across parallel spine links -- the source
 // of the contention the paper emulates with delay injection.
 //
-// Two routing layers coexist.  Explicit hop lists (add_route) remain for
-// hand-wired paths and take precedence; everything else is forwarded by the
-// RoutingTable computed from the declared links (net/routing.hpp), so a
-// topology builder only declares connectivity and every host pair routes.
-// Registered switch nodes (add_switch) apply per-port egress admission
-// (buffer depth, drop vs backpressure -- net/switch.hpp) on either layer.
+// Routes come only from the link graph: the RoutingTable computed from the
+// declared links (net/routing.hpp) forwards every pair, so a topology
+// builder only declares connectivity and every host pair routes.  A direct
+// link is its pair's unique shortest path, which deliver_ex takes without
+// consulting the table.  Registered switch nodes (add_switch) apply
+// per-port egress admission (buffer depth, drop vs backpressure --
+// net/switch.hpp) to every frame they forward.
 #pragma once
 
 #include <cstdint>
@@ -68,39 +69,24 @@ class Network {
   /// All switches, ordered by id (deterministic iteration for reports).
   const std::map<NodeId, Switch>& switches() const { return switches_; }
 
-  /// Create a unidirectional link between two registered nodes.  Multiple
-  /// hops between the same pair are allowed (multi-hop paths are built from
-  /// per-hop links via the routing table or add_route).
+  /// Create a unidirectional link between two registered nodes; throws on
+  /// an unknown node or a second link for the same pair.  Multi-hop paths
+  /// are chains of such links, forwarded by the routing table.
   void connect(NodeId from, NodeId to, const LinkConfig& cfg);
-
-  /// Declare an explicit path (sequence of already-connected hops) from src
-  /// to dst, overriding the computed table for that pair.  A direct
-  /// connect() implicitly adds the one-hop route.  Validation names the
-  /// offending hop: every hop must have a link and consecutive hops must be
-  /// contiguous (hop[i].second == hop[i+1].first).
-  void add_route(NodeId src, NodeId dst, std::vector<std::pair<NodeId, NodeId>> hops);
 
   /// Recompute the destination-based routing tables from the current link
   /// graph.  Called lazily by the delivery paths after any topology change;
   /// exposed so builders can pay the cost at assembly time.
   void build_routes();
 
-  /// Deliver `wire_bytes` from src to dst starting at `now`; returns arrival
-  /// time after traversing every hop (serialization + queueing at each).
-  /// Fault-oblivious view: equals deliver_ex(...).arrival (and consumes the
-  /// same fault decisions), for callers that model the wire as reliable.
-  sim::Time deliver(sim::Time now, NodeId src, NodeId dst,
-                    std::uint64_t wire_bytes,
-                    sim::Priority prio = sim::Priority::kBulk,
-                    std::uint64_t flow_salt = 0);
-
-  /// Fault-aware delivery: traverses hops until the frame is delivered or
-  /// dropped.  Loss/flap/switch-drop at any hop ends the traversal;
+  /// Deliver `wire_bytes` from src to dst starting at `now`, traversing
+  /// hops (serialization + queueing at each) until the frame is delivered
+  /// or dropped.  Loss/flap/switch-drop at any hop ends the traversal;
   /// corruption travels on (the CRC is only checked at the destination
-  /// NIC).  Pairs without an explicit route are forwarded hop by hop from
-  /// the routing table; `flow_salt` keys the ECMP stripe (retransmissions
-  /// can pass their attempt number to re-stripe around a dead parallel
-  /// link).
+  /// NIC).  A direct src->dst link is one hop; any other pair is forwarded
+  /// hop by hop from the routing table, and `flow_salt` keys the ECMP
+  /// stripe (retransmissions can pass their attempt number to re-stripe
+  /// around a dead parallel link).  Throws when dst is unreachable.
   Delivery deliver_ex(sim::Time now, NodeId src, NodeId dst,
                       std::uint64_t wire_bytes,
                       sim::Priority prio = sim::Priority::kBulk,
@@ -163,7 +149,7 @@ class Network {
 
   std::size_t num_nodes() const { return names_.size(); }
   const std::string& node_name(NodeId id) const { return names_.at(id); }
-  /// True when src can reach dst: an explicit route or a routing-table path.
+  /// True when src can reach dst over the link graph.
   bool has_route(NodeId src, NodeId dst) const;
   /// The computed routing table (rebuilt if the topology changed).
   const RoutingTable& routing() const;
@@ -200,11 +186,9 @@ class Network {
   struct HopSlot {
     std::unique_ptr<Link> link;          ///< nullptr: no link on this hop
     std::unique_ptr<FaultyLink> faulty;  ///< nullptr: the hop is fault-free
-    /// Explicit from->to path (add_route / connect); empty: use the table.
-    std::vector<std::pair<NodeId, NodeId>> route;
   };
   /// The pair's slot, or nullptr when either id lies beyond the slots laid
-  /// out so far (no link or route has touched it).
+  /// out so far (no link has touched it).
   const HopSlot* slot(NodeId from, NodeId to) const {
     return from < stride_ && to < stride_ ? &slots_[from * stride_ + to]
                                           : nullptr;
@@ -215,8 +199,8 @@ class Network {
 
   std::vector<std::string> names_;
   /// Dense stride_ x stride_ hop slots, row-major by `from`: index order is
-  /// ordered (from, to) order.  Laid out at assembly (connect/add_route),
-  /// so delivery only reads them.
+  /// ordered (from, to) order.  Laid out at assembly (connect), so delivery
+  /// only reads them.
   std::vector<HopSlot> slots_;
   std::size_t stride_ = 0;
   std::size_t faulty_links_ = 0;

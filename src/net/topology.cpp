@@ -5,36 +5,28 @@
 
 namespace tfsim::net {
 
-StarTopology StarTopology::build(Network& network,
-                                 const StarTopologyConfig& cfg) {
-  if (network.num_nodes() != 0) {
-    throw std::invalid_argument("StarTopology: network must be empty");
+DumbbellFabric DumbbellFabric::build(Network& network,
+                                     const DumbbellConfig& cfg,
+                                     const std::vector<NodeId>& borrowers,
+                                     const std::vector<NodeId>& lenders) {
+  if (borrowers.empty() || lenders.empty()) {
+    throw std::invalid_argument(
+        "DumbbellFabric: needs at least one borrower and one lender");
   }
-  if (cfg.pairs == 0) {
-    throw std::invalid_argument("StarTopology: needs at least one pair");
-  }
-  StarTopology topo;
-  topo.switch_a = network.add_node("switch-a");
-  topo.switch_b = network.add_node("switch-b");
+  DumbbellFabric topo;
+  topo.switch_a = network.add_switch(cfg.prefix + "switch-a", cfg.sw);
+  topo.switch_b = network.add_switch(cfg.prefix + "switch-b", cfg.sw);
   network.connect(topo.switch_a, topo.switch_b, cfg.trunk);
   network.connect(topo.switch_b, topo.switch_a, cfg.trunk);
-
-  for (std::uint32_t i = 0; i < cfg.pairs; ++i) {
-    const auto b = network.add_node("borrower" + std::to_string(i));
-    const auto l = network.add_node("lender" + std::to_string(i));
+  for (const NodeId b : borrowers) {
     network.connect(b, topo.switch_a, cfg.edge);
     network.connect(topo.switch_a, b, cfg.edge);
+  }
+  for (const NodeId l : lenders) {
     network.connect(l, topo.switch_b, cfg.edge);
     network.connect(topo.switch_b, l, cfg.edge);
-    network.add_route(b, l, {{b, topo.switch_a},
-                             {topo.switch_a, topo.switch_b},
-                             {topo.switch_b, l}});
-    network.add_route(l, b, {{l, topo.switch_b},
-                             {topo.switch_b, topo.switch_a},
-                             {topo.switch_a, b}});
-    topo.borrowers.push_back(b);
-    topo.lenders.push_back(l);
   }
+  network.build_routes();
   return topo;
 }
 

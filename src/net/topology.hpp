@@ -3,8 +3,15 @@
 // The prototype the paper measures is a two-node cable; its motivation is a
 // datacenter where borrower-lender pairs share a *switched* network and
 // congestion manifests as increased memory-access latency (§II-B).  These
-// builders produce that fabric: K borrowers and K lenders hanging off two
-// switches joined by one shared trunk -- the congestion point.
+// builders attach already-registered hosts to that fabric: the two-switch
+// dumbbell, whose one shared trunk is the congestion point, and the
+// leaf/spine rack that stripes the same traffic over parallel spines.
+//
+// Both declare connectivity alone, register their switches with add_switch
+// (per-port egress admission) and finish with network.build_routes(), so
+// forwarding comes from the routing table.  Switch nodes are appended
+// *after* the hosts, preserving the identity host-index == NodeId partition
+// the Cluster's PDES assembly relies on.
 #pragma once
 
 #include <cstdint>
@@ -15,25 +22,26 @@
 
 namespace tfsim::net {
 
-struct StarTopologyConfig {
-  std::uint32_t pairs = 4;  ///< borrower-lender pairs
-  LinkConfig edge;          ///< node <-> switch hops
-  LinkConfig trunk;         ///< the shared switch <-> switch hop
+struct DumbbellConfig {
+  LinkConfig edge;     ///< host <-> switch hops
+  LinkConfig trunk;    ///< the shared switch <-> switch hop
+  SwitchConfig sw;     ///< per-switch egress queue policy
+  std::string prefix;  ///< switch-name prefix (Cluster scoping)
 };
 
-/// Two-switch dumbbell: borrowers -- switchA == trunk == switchB -- lenders.
-/// With trunk bandwidth equal to one edge link, K active pairs oversubscribe
-/// the trunk K:1.
-struct StarTopology {
-  NodeId switch_a = 0;
-  NodeId switch_b = 0;
-  std::vector<NodeId> borrowers;
-  std::vector<NodeId> lenders;
+/// Two-switch dumbbell: borrowers -- switch-a == trunk == switch-b --
+/// lenders.  The only shortest borrower->lender path is edge-trunk-edge, so
+/// with trunk bandwidth equal to one edge link, K active pairs
+/// oversubscribe the trunk K:1.
+struct DumbbellFabric {
+  NodeId switch_a = 0;  ///< the borrowers' switch
+  NodeId switch_b = 0;  ///< the lenders' switch
 
-  /// Builds nodes, links, and per-pair routes in `network` (which must be
-  /// empty).  Pair i routes borrower[i] -> lender[i] across the trunk and
-  /// back.
-  static StarTopology build(Network& network, const StarTopologyConfig& cfg);
+  /// Attach `borrowers` to switch-a and `lenders` to switch-b (existing
+  /// node ids) in `network`.  Throws when either side is empty.
+  static DumbbellFabric build(Network& network, const DumbbellConfig& cfg,
+                              const std::vector<NodeId>& borrowers,
+                              const std::vector<NodeId>& lenders);
 };
 
 struct LeafSpineConfig {
@@ -50,11 +58,6 @@ struct LeafSpineConfig {
 /// traffic ECMP-stripes across S parallel spine paths.  Aggregate bisection
 /// is S uplinks per leaf instead of the dumbbell's single trunk -- the
 /// contention cliff moves out by roughly the oversubscription ratio.
-///
-/// Unlike StarTopology, connectivity alone is declared; forwarding comes
-/// from the routing table (build() finishes with network.build_routes()).
-/// Switch nodes are appended *after* the hosts, preserving the identity
-/// host-index == NodeId partition the Cluster's PDES assembly relies on.
 struct LeafSpineFabric {
   std::vector<NodeId> leaves;
   std::vector<NodeId> spines;

@@ -104,7 +104,7 @@ TEST(NetworkTest, DirectRoute) {
   net.connect(a, b, LinkConfig{});
   EXPECT_TRUE(net.has_route(a, b));
   EXPECT_FALSE(net.has_route(b, a)) << "links are unidirectional";
-  const auto t = net.deliver(0, a, b, 128);
+  const auto t = net.deliver_ex(0, a, b, 128).arrival;
   EXPECT_GT(t, 0u);
 }
 
@@ -118,9 +118,8 @@ TEST(NetworkTest, MultiHopAccumulatesDelay) {
   cfg.propagation = sim::from_ns(100);
   net.connect(a, sw, cfg);
   net.connect(sw, b, cfg);
-  net.add_route(a, b, {{a, sw}, {sw, b}});
-  // 100 bytes/hop: (100 ns ser + 100 ns prop) x 2.
-  EXPECT_EQ(net.deliver(0, a, b, 100), sim::from_ns(400));
+  // 100 bytes/hop: (100 ns ser + 100 ns prop) x 2, routed by the table.
+  EXPECT_EQ(net.deliver_ex(0, a, b, 100).arrival, sim::from_ns(400));
 }
 
 TEST(NetworkTest, SharedHopCreatesContention) {
@@ -135,10 +134,8 @@ TEST(NetworkTest, SharedHopCreatesContention) {
   net.connect(a, sw, cfg);
   net.connect(b, sw, cfg);
   net.connect(sw, dst, cfg);
-  net.add_route(a, dst, {{a, sw}, {sw, dst}});
-  net.add_route(b, dst, {{b, sw}, {sw, dst}});
-  const auto t1 = net.deliver(0, a, dst, 1000);
-  const auto t2 = net.deliver(0, b, dst, 1000);
+  const auto t1 = net.deliver_ex(0, a, dst, 1000).arrival;
+  const auto t2 = net.deliver_ex(0, b, dst, 1000).arrival;
   // Both used the shared sw->dst hop; the second must queue behind the first.
   EXPECT_EQ(t1, sim::from_ns(2000));
   EXPECT_EQ(t2, sim::from_ns(3000));
@@ -150,17 +147,17 @@ TEST(NetworkTest, RouteValidation) {
   const auto b = net.add_node("b");
   const auto c = net.add_node("c");
   net.connect(a, b, LinkConfig{});
-  EXPECT_THROW(net.deliver(0, a, c, 10), std::invalid_argument);
-  EXPECT_THROW(net.add_route(a, c, {{a, c}}), std::invalid_argument)
-      << "hop without a link";
-  EXPECT_THROW(net.add_route(a, b, {}), std::invalid_argument);
+  EXPECT_FALSE(net.has_route(a, c));
+  EXPECT_THROW(net.deliver_ex(0, a, c, 10), std::invalid_argument);
   EXPECT_THROW(net.connect(a, b, LinkConfig{}), std::invalid_argument)
       << "duplicate link";
+  EXPECT_THROW(net.connect(a, 7, LinkConfig{}), std::invalid_argument)
+      << "unknown node";
+  // A link added after a delivery extends the table: a reaches c via b.
   net.connect(b, c, LinkConfig{});
-  EXPECT_THROW(net.add_route(a, c, {{b, c}}), std::invalid_argument)
-      << "path must start at src";
-  EXPECT_THROW(net.add_route(a, c, {{a, b}, {a, b}}), std::invalid_argument)
-      << "disconnected path";
+  EXPECT_TRUE(net.has_route(a, c));
+  EXPECT_EQ(net.deliver_ex(0, a, c, 10).arrival,
+            2 * Link(LinkConfig{}).transmit(0, 10));
 }
 
 // --- latency distributions --------------------------------------------------

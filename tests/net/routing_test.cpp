@@ -33,7 +33,7 @@ LinkConfig gig_link(double bytes_per_sec, double prop_ns) {
 // --- routing table ---------------------------------------------------------
 
 TEST(RoutingTableTest, MultiHopChainForwardsWithoutExplicitRoutes) {
-  // a -> s1 -> s2 -> s3 -> b: four hops, no add_route anywhere.
+  // a -> s1 -> s2 -> s3 -> b: four hops, routed by the table alone.
   Network net;
   const auto a = net.add_node("a");
   const auto s1 = net.add_node("s1");
@@ -49,7 +49,7 @@ TEST(RoutingTableTest, MultiHopChainForwardsWithoutExplicitRoutes) {
   EXPECT_TRUE(net.has_route(a, b));
   EXPECT_FALSE(net.has_route(b, a)) << "links are unidirectional";
   // 100 bytes/hop: (100 ns ser + 100 ns prop) x 4.
-  EXPECT_EQ(net.deliver(0, a, b, 100), sim::from_ns(800));
+  EXPECT_EQ(net.deliver_ex(0, a, b, 100).arrival, sim::from_ns(800));
 }
 
 TEST(RoutingTableTest, UnknownDestinationThrows) {
@@ -60,7 +60,7 @@ TEST(RoutingTableTest, UnknownDestinationThrows) {
   net.connect(a, b, LinkConfig{});
   net.build_routes();
   EXPECT_FALSE(net.has_route(a, island));
-  EXPECT_THROW(net.deliver(0, a, island, 64), std::invalid_argument);
+  EXPECT_THROW(net.deliver_ex(0, a, island, 64), std::invalid_argument);
   sim::PdesConfig pc;
   pc.threads = 1;
   sim::ParallelEngine pdes(net.num_nodes(), pc);
@@ -146,39 +146,6 @@ TEST(RoutingTableTest, EcmpStripesAcrossParallelSpines) {
     }
   }
   EXPECT_TRUE(resalted);
-}
-
-// --- add_route validation (ISSUE 8 satellite) ------------------------------
-
-TEST(RoutingTableTest, AddRouteNamesTheOffendingHop) {
-  Network net;
-  const auto a = net.add_node("a");
-  const auto sw = net.add_node("sw");
-  const auto b = net.add_node("b");
-  net.connect(a, sw, LinkConfig{});
-  net.connect(sw, b, LinkConfig{});
-  try {
-    net.add_route(a, b, {{a, sw}, {a, b}});
-    FAIL() << "missing link must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("hop 1 (a->b) has no link"),
-              std::string::npos)
-        << e.what();
-  }
-  net.connect(b, sw, LinkConfig{});
-  try {
-    // Endpoints line up (a ... b) but hop 0 does not feed hop 1.
-    net.add_route(a, b, {{a, sw}, {b, sw}, {sw, b}});
-    FAIL() << "discontiguous path must throw";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("hop 0 (a->sw)"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("not contiguous with hop 1 (b->sw)"),
-              std::string::npos)
-        << msg;
-  }
-  net.add_route(a, b, {{a, sw}, {sw, b}});  // the valid spelling still works
-  EXPECT_TRUE(net.has_route(a, b));
 }
 
 // --- switch egress admission ----------------------------------------------
@@ -294,7 +261,7 @@ TEST(LeafSpineTest, BuildsFullBipartiteTier) {
   }
   EXPECT_FALSE(net.has_link(fabric.leaves[0], fabric.leaves[1]));
   EXPECT_FALSE(net.has_link(fabric.spines[0], fabric.spines[1]));
-  // Every host pair routes without a single add_route call.
+  // Every host pair routes from the declared links alone.
   for (const NodeId s : hosts) {
     for (const NodeId d : hosts) {
       if (s != d) {
@@ -318,7 +285,8 @@ TEST(LeafSpineTest, CrossLeafLatencyIsFourHops) {
   LeafSpineFabric::build(net, cfg, hosts);
   // h0(leaf0) -> h1(leaf1): host-leaf, leaf-spine, spine-leaf, leaf-host =
   // 4 x (100 ns ser + 100 ns prop) for a 100 B frame.
-  EXPECT_EQ(net.deliver(0, hosts[0], hosts[1], 100), sim::from_ns(800));
+  EXPECT_EQ(net.deliver_ex(0, hosts[0], hosts[1], 100).arrival,
+            sim::from_ns(800));
   // Same-leaf pair stays under its ToR: 2 hops only.
   Network net2;
   std::vector<NodeId> hosts2;
@@ -326,7 +294,8 @@ TEST(LeafSpineTest, CrossLeafLatencyIsFourHops) {
     hosts2.push_back(net2.add_node("h" + std::to_string(i)));
   }
   LeafSpineFabric::build(net2, cfg, hosts2);
-  EXPECT_EQ(net2.deliver(0, hosts2[0], hosts2[2], 100), sim::from_ns(400));
+  EXPECT_EQ(net2.deliver_ex(0, hosts2[0], hosts2[2], 100).arrival,
+            sim::from_ns(400));
 }
 
 TEST(LeafSpineTest, RejectsDegenerateShapes) {
@@ -386,7 +355,7 @@ TEST(PostRoutedTest, MatchesAnalyticDeliveryOnQuietFabric) {
   std::vector<NodeId> ref_hosts;
   build(ref, ref_hosts);
   const sim::Time expected =
-      ref.deliver(0, ref_hosts[0], ref_hosts[1], 1024);
+      ref.deliver_ex(0, ref_hosts[0], ref_hosts[1], 1024).arrival;
 
   Network net;
   std::vector<NodeId> hosts;
@@ -400,6 +369,43 @@ TEST(PostRoutedTest, MatchesAnalyticDeliveryOnQuietFabric) {
                   [&arrival](const Delivery& d) { arrival = d.arrival; });
   pdes.run();
   EXPECT_EQ(arrival, expected);
+}
+
+TEST(PostRoutedTest, DirectLinkIsTheOnlyRoute) {
+  // a reaches b over a direct link and over a -> sw -> b.  The direct link
+  // is the unique shortest path, so deliver_ex (which reads the hop slot)
+  // and post_routed (which walks the table) both take it, even though its
+  // 5 us propagation makes the two-hop path the faster one.
+  struct Graph {
+    Network net;
+    NodeId a = 0, b = 0, sw = 0;
+    Graph() {
+      a = net.add_node("a");
+      b = net.add_node("b");
+      sw = net.add_switch("sw");
+      net.connect(a, b, gig_link(1e9, 5000));
+      net.connect(a, sw, gig_link(1e9, 100));
+      net.connect(sw, b, gig_link(1e9, 100));
+    }
+  };
+  Graph ref;
+  const Delivery d = ref.net.deliver_ex(0, ref.a, ref.b, 100);
+  EXPECT_TRUE(d.delivered());
+  EXPECT_EQ(d.arrival, sim::from_ns(5100));
+  EXPECT_EQ(ref.net.routing().next_hops(ref.a, ref.b),
+            std::vector<NodeId>{ref.b});
+  EXPECT_EQ(ref.net.link(ref.a, ref.sw).packets_sent(), 0u);
+
+  Graph g;
+  sim::ParallelEngine pdes(g.net.num_nodes(),
+                           sim::PdesConfig{1, g.net.min_propagation()});
+  sim::Time arrival = 0;
+  g.net.post_routed(pdes, 0, g.a, g.b, 100, sim::Priority::kBulk, 0,
+                    [&arrival](const Delivery& r) { arrival = r.arrival; });
+  pdes.run();
+  EXPECT_EQ(arrival, d.arrival);
+  EXPECT_EQ(g.net.link(g.a, g.b).packets_sent(), 1u);
+  EXPECT_EQ(g.net.link(g.a, g.sw).packets_sent(), 0u);
 }
 
 TEST(PostRoutedTest, ThrowingHopReleasesItsFrame) {
