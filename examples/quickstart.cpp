@@ -44,6 +44,19 @@ int main(int argc, char** argv) {
                     session.cluster().remote_span() / sim::kGiB));
 
     const auto res = session.run_stream(stream_cfg);
+    for (const auto& k : res.kernels) {
+      if (k.context.remote_misses == 0) {
+        // Cache-resident arrays time no remote access, so the row would
+        // show cache bandwidth under any PERIOD.
+        std::fprintf(stderr,
+                     "--elements=%llu: the %s kernel made no remote miss "
+                     "(STREAM's arrays fit the simulated caches); raise "
+                     "--elements\n",
+                     static_cast<unsigned long long>(stream_cfg.elements),
+                     k.kernel.c_str());
+        return 2;
+      }
+    }
     table.row({std::to_string(period),
                core::Table::num(sim::to_us(session.injector_interval()), 4),
                core::Table::num(res.avg_latency_us, 2),
