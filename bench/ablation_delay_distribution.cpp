@@ -6,20 +6,27 @@
 // injected four ways -- fixed, uniform, exponential, lognormal, pareto --
 // and STREAM plus Graph500 BFS report how much the distribution's shape
 // (not just its mean) matters.
-#include <benchmark/benchmark.h>
-
+//
+// Each distribution is an independent Session, so the sweep fans out
+// across $TFSIM_JOBS workers; the shared edge list is generated once up
+// front and only read inside the sweep.
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
 #include "net/latency_dist.hpp"
+#include "sim/config.hpp"
 
 using namespace tfsim;
 
 namespace {
 
-constexpr net::DistKind kKinds[] = {
+const std::vector<net::DistKind> kKinds = {
     net::DistKind::kFixed, net::DistKind::kUniform,
     net::DistKind::kExponential, net::DistKind::kLognormal,
     net::DistKind::kPareto};
@@ -31,48 +38,27 @@ struct Row {
   double stream_bw_gbps;
   double bfs_job_ms;
 };
-std::vector<Row> g_rows;
 
-const workloads::g500::EdgeList& shared_edges() {
-  static const workloads::g500::EdgeList el = [] {
-    auto cfg = bench::graph_config();
-    cfg.gen.scale = std::min<std::uint32_t>(cfg.gen.scale, 18);  // sweep x5
-    return workloads::g500::kronecker_generate(cfg.gen);
-  }();
-  return el;
+Row run_kind(net::DistKind kind,
+             const workloads::g500::Graph500Config& gcfg,
+             const workloads::g500::EdgeList& edges) {
+  core::SessionConfig cfg;
+  cfg.scenario.injector.dist_kind = kind;
+  cfg.scenario.injector.dist_mean_us = kMeanDelayUs;
+  core::Session session(cfg);
+  const auto stream = session.run_stream(bench::stream_config());
+  const auto job = session.run_bfs_job(gcfg, edges, 1);
+  return Row{net::to_string(kind), stream.avg_latency_us,
+             stream.best_bandwidth_gbps, sim::to_ms(job.total())};
 }
 
-void BM_Distribution(benchmark::State& state) {
-  const auto kind = kKinds[state.range(0)];
-  for (auto _ : state) {
-    core::SessionConfig cfg;
-    cfg.scenario.injector.dist_kind = kind;
-    cfg.scenario.injector.dist_mean_us = kMeanDelayUs;
-    core::Session session(cfg);
-
-    const auto stream = session.run_stream(bench::stream_config());
-
-    auto gcfg = bench::graph_config();
-    gcfg.gen.scale = std::min<std::uint32_t>(gcfg.gen.scale, 18);
-    const auto job = session.run_bfs_job(gcfg, shared_edges(), 1);
-
-    Row row{net::to_string(kind), stream.avg_latency_us,
-            stream.best_bandwidth_gbps, sim::to_ms(job.total())};
-    state.counters["stream_lat_us"] = row.stream_latency_us;
-    state.counters["bfs_job_ms"] = row.bfs_job_ms;
-    g_rows.push_back(row);
-  }
-}
-BENCHMARK(BM_Distribution)->DenseRange(0, static_cast<int>(std::size(kKinds)) - 1)
-    ->Iterations(1)->Unit(benchmark::kMillisecond)->ArgNames({"idx"});
-
-void print_table() {
+void print_table(const std::vector<Row>& rows) {
   core::Table table(
       "Ablation: delay distribution shape at equal mean (" +
           core::Table::num(kMeanDelayUs, 1) + " us/transaction)",
       {"distribution", "STREAM latency (us)", "STREAM BW (GB/s)",
        "BFS job (ms)"});
-  for (const auto& r : g_rows) {
+  for (const auto& r : rows) {
     table.row({r.kind, core::Table::num(r.stream_latency_us, 2),
                core::Table::num(r.stream_bw_gbps, 3),
                core::Table::num(r.bfs_job_ms, 1)});
@@ -87,10 +73,19 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_table();
+  sim::ArgParser args(
+      "Ablation: fixed vs distribution-driven delay injection at equal mean");
+  if (!args.parse(argc, argv)) return 1;
+
+  // Generate the shared graph input once, before the fan-out; scale is
+  // capped at 18 because the sweep runs it five times.
+  auto gcfg = bench::graph_config();
+  gcfg.gen.scale = std::min<std::uint32_t>(gcfg.gen.scale, 18);
+  const workloads::g500::EdgeList edges =
+      workloads::g500::kronecker_generate(gcfg.gen);
+  const auto rows = bench::run_sweep(
+      "ablation_delay_distribution", kKinds,
+      [&](net::DistKind kind) { return run_kind(kind, gcfg, edges); });
+  print_table(rows);
   return 0;
 }

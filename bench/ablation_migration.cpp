@@ -5,14 +5,21 @@
 // while streaming pages (the adjacency arrays, one burst each) never
 // qualify.  STREAM therefore sees no benefit -- its entire footprint is
 // single-burst -- which is exactly the selectivity an OS policy needs.
-#include <benchmark/benchmark.h>
-
+//
+// The four runs (BFS and STREAM, migration off and on) are independent
+// Sessions, so the sweep fans out across $TFSIM_JOBS workers; the shared
+// edge list is generated once up front and only read inside the sweep.
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/metrics.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
+#include "sim/config.hpp"
 
 using namespace tfsim;
 
@@ -20,89 +27,62 @@ namespace {
 
 constexpr std::uint64_t kPeriod = 32;  // sustained moderate delay
 
-struct Row {
-  std::string workload;
-  sim::Time off = 0;
-  sim::Time on = 0;
+enum class Workload { kBfs, kStream };
+
+struct Point {
+  Workload workload;
+  bool migration;
+};
+
+/// Each workload's migration-off run, then its migration-on run;
+/// print_table pairs them in this order.
+const std::vector<Point> kPoints = {{Workload::kBfs, false},
+                                    {Workload::kBfs, true},
+                                    {Workload::kStream, false},
+                                    {Workload::kStream, true}};
+
+struct Outcome {
+  sim::Time elapsed = 0;
   std::uint64_t pages_migrated = 0;
   std::uint64_t mb_migrated = 0;
 };
-std::vector<Row> g_rows;
 
-const workloads::g500::EdgeList& shared_edges() {
-  static const workloads::g500::EdgeList el = [] {
-    auto cfg = bench::graph_config();
-    cfg.gen.scale = std::min<std::uint32_t>(cfg.gen.scale, 18);
-    return workloads::g500::kronecker_generate(cfg.gen);
-  }();
-  return el;
-}
-
-core::SessionConfig session_cfg(bool migration_on) {
+Outcome run_point(const Point& p, const workloads::g500::Graph500Config& gcfg,
+                  const workloads::g500::EdgeList& edges) {
   core::SessionConfig cfg;
   cfg.scenario.injector.period = kPeriod;
-  if (migration_on) cfg.migration = node::MigrationConfig{};
-  return cfg;
-}
-
-void BM_MigrationBfs(benchmark::State& state) {
-  const bool on = state.range(0) != 0;
-  for (auto _ : state) {
-    core::Session session(session_cfg(on));
-    auto gcfg = bench::graph_config();
-    gcfg.gen.scale = std::min<std::uint32_t>(gcfg.gen.scale, 18);
-    const auto job = session.run_bfs_job(gcfg, shared_edges(), 1);
-    state.counters["job_ms"] = sim::to_ms(job.total());
-    if (g_rows.empty() || g_rows.back().workload != "Graph500 BFS job") {
-      g_rows.push_back(Row{"Graph500 BFS job", 0, 0, 0, 0});
-    }
-    auto& row = g_rows.back();
-    (on ? row.on : row.off) = job.total();
-    if (on) {
-      const auto* m = session.cluster().borrower().migrator();
-      row.pages_migrated = m->stats().pages_migrated;
-      row.mb_migrated = m->stats().bytes_migrated >> 20;
-    }
+  if (p.migration) cfg.migration = node::MigrationConfig{};
+  core::Session session(cfg);
+  Outcome out;
+  out.elapsed = p.workload == Workload::kBfs
+                    ? session.run_bfs_job(gcfg, edges, 1).total()
+                    : session.run_stream(bench::stream_config()).total_elapsed;
+  if (p.migration) {
+    const auto& stats = session.cluster().borrower().migrator()->stats();
+    out.pages_migrated = stats.pages_migrated;
+    out.mb_migrated = stats.bytes_migrated >> 20;
   }
+  return out;
 }
 
-void BM_MigrationStream(benchmark::State& state) {
-  const bool on = state.range(0) != 0;
-  for (auto _ : state) {
-    core::Session session(session_cfg(on));
-    const auto res = session.run_stream(bench::stream_config());
-    state.counters["elapsed_ms"] = sim::to_ms(res.total_elapsed);
-    if (g_rows.empty() || g_rows.back().workload != "STREAM") {
-      g_rows.push_back(Row{"STREAM", 0, 0, 0, 0});
-    }
-    auto& row = g_rows.back();
-    (on ? row.on : row.off) = res.total_elapsed;
-    if (on) {
-      const auto* m = session.cluster().borrower().migrator();
-      row.pages_migrated = m->stats().pages_migrated;
-      row.mb_migrated = m->stats().bytes_migrated >> 20;
-    }
-  }
-}
-
-BENCHMARK(BM_MigrationBfs)->Arg(0)->Arg(1)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MigrationStream)->Arg(0)->Arg(1)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void print_table() {
+/// One row per workload from its (off, on) pair of outcomes.
+void print_table(const std::vector<Outcome>& outcomes) {
   core::Table table(
       "Ablation: hot-page migration under PERIOD=" + std::to_string(kPeriod) +
           " injection",
       {"workload", "migration off (ms)", "migration on (ms)", "speedup",
        "pages migrated", "MB migrated"});
-  for (const auto& r : g_rows) {
-    table.row({r.workload, core::Table::num(sim::to_ms(r.off), 1),
-               core::Table::num(sim::to_ms(r.on), 1),
-               core::Table::ratio(core::degradation_from_times(r.off, r.on)),
-               std::to_string(r.pages_migrated),
-               std::to_string(r.mb_migrated)});
-  }
+  const auto row = [&](const char* name, const Outcome& off,
+                       const Outcome& on) {
+    table.row({name, core::Table::num(sim::to_ms(off.elapsed), 1),
+               core::Table::num(sim::to_ms(on.elapsed), 1),
+               core::Table::ratio(
+                   core::degradation_from_times(off.elapsed, on.elapsed)),
+               std::to_string(on.pages_migrated),
+               std::to_string(on.mb_migrated)});
+  };
+  row("Graph500 BFS job", outcomes[0], outcomes[1]);
+  row("STREAM", outcomes[2], outcomes[3]);
   table.print();
   table.to_csv(bench::csv_path("ablation_migration.csv"));
   std::puts("Migration rescues the workload whose hot set is small and"
@@ -113,10 +93,19 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_table();
+  sim::ArgParser args(
+      "Ablation: hot-page migration under sustained delay injection");
+  if (!args.parse(argc, argv)) return 1;
+
+  // Generate the shared graph input once, before the fan-out.
+  auto gcfg = bench::graph_config();
+  gcfg.gen.scale = std::min<std::uint32_t>(gcfg.gen.scale, 18);
+  const workloads::g500::EdgeList edges =
+      workloads::g500::kronecker_generate(gcfg.gen);
+  const auto outcomes =
+      bench::run_sweep("ablation_migration", kPoints, [&](const Point& p) {
+        return run_point(p, gcfg, edges);
+      });
+  print_table(outcomes);
   return 0;
 }

@@ -9,29 +9,31 @@
 //
 // Both shapes are declarative scenarios built through node::Cluster: N
 // borrowers, one memory target, only the target's bus bandwidth differs.
-#include <benchmark/benchmark.h>
-
+// Each borrower count is an independent point, so the sweep fans out
+// across $TFSIM_JOBS workers; the table/CSV are identical for any count.
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/report.hpp"
 #include "node/cluster.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/config.hpp"
 #include "workloads/stream/stream_flow.hpp"
 
 using namespace tfsim;
 
 namespace {
 
-constexpr int kBorrowerCounts[] = {1, 2, 4, 8};
+const std::vector<int> kBorrowerCounts = {1, 2, 4, 8};
 
 struct Row {
   int borrowers;
   double borrowing_per_instance_gbps;
   double pooling_per_instance_gbps;
 };
-std::vector<Row> g_rows;
 
 /// N borrowers, one memory target; `target_gbyte` distinguishes a lender
 /// server's bus (borrowing) from a CPU-less pool controller (pooling).
@@ -82,29 +84,11 @@ double run_scenario(int n, double target_gbyte) {
   return total / n;
 }
 
-void BM_Pooling(benchmark::State& state) {
-  const int n = kBorrowerCounts[state.range(0)];
-  for (auto _ : state) {
-    Row row{};
-    row.borrowers = n;
-    // Borrowing: lender server bus, 140 GB/s.
-    row.borrowing_per_instance_gbps = run_scenario(n, 140.0);
-    // Pooling: CPU-less pool controller, ~one DDR4 channel pair.
-    row.pooling_per_instance_gbps = run_scenario(n, 16.0);
-    state.counters["borrowing_gbps"] = row.borrowing_per_instance_gbps;
-    state.counters["pooling_gbps"] = row.pooling_per_instance_gbps;
-    g_rows.push_back(row);
-  }
-}
-BENCHMARK(BM_Pooling)
-    ->DenseRange(0, static_cast<int>(std::size(kBorrowerCounts)) - 1)
-    ->Iterations(1)->Unit(benchmark::kMillisecond)->ArgNames({"idx"});
-
-void print_table() {
+void print_table(const std::vector<Row>& rows) {
   core::Table table(
       "Ablation: borrowing (140 GB/s lender bus) vs pooling (16 GB/s pool)",
       {"borrowers", "borrowing: per-instance GB/s", "pooling: per-instance GB/s"});
-  for (const auto& r : g_rows) {
+  for (const auto& r : rows) {
     table.row({std::to_string(r.borrowers),
                core::Table::num(r.borrowing_per_instance_gbps, 3),
                core::Table::num(r.pooling_per_instance_gbps, 3)});
@@ -119,10 +103,17 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_table();
+  sim::ArgParser args(
+      "Ablation: memory borrowing vs a CPU-less memory pool as borrowers "
+      "multiply");
+  if (!args.parse(argc, argv)) return 1;
+
+  const auto rows =
+      bench::run_sweep("ablation_pooling", kBorrowerCounts, [](int n) {
+        // Borrowing: lender server bus, 140 GB/s.  Pooling: CPU-less pool
+        // controller, ~one DDR4 channel pair.
+        return Row{n, run_scenario(n, 140.0), run_scenario(n, 16.0)};
+      });
+  print_table(rows);
   return 0;
 }

@@ -10,14 +10,18 @@
 //   net-prio   probe packets bypass bulk backlog on every network hop
 //   net+mshr   additionally, 16 window slots are reserved for the
 //              latency class (MSHR partitioning)
-#include <benchmark/benchmark.h>
-
+//
+// Each mode is an independent Cluster, so the sweep fans out across
+// $TFSIM_JOBS workers; the table/CSV are identical for any count.
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/report.hpp"
 #include "node/cluster.hpp"
+#include "sim/config.hpp"
 #include "workloads/stream/stream_flow.hpp"
 
 using namespace tfsim;
@@ -30,7 +34,8 @@ struct QosResult {
   double probe_p_bw_gbps;
   double bulk_aggregate_gbps;
 };
-std::vector<QosResult> g_rows;
+
+const std::vector<std::string> kModes = {"off", "net-prio", "net+mshr"};
 
 QosResult run_mode(const std::string& mode) {
   scenario::ScenarioSpec spec = scenario::paper_two_node();
@@ -79,26 +84,12 @@ QosResult run_mode(const std::string& mode) {
   return r;
 }
 
-const char* kModes[] = {"off", "net-prio", "net+mshr"};
-
-void BM_Qos(benchmark::State& state) {
-  const std::string mode = kModes[state.range(0)];
-  for (auto _ : state) {
-    const auto r = run_mode(mode);
-    state.counters["probe_lat_us"] = r.probe_latency_us;
-    state.counters["bulk_gbps"] = r.bulk_aggregate_gbps;
-    g_rows.push_back(r);
-  }
-}
-BENCHMARK(BM_Qos)->DenseRange(0, 2)->Iterations(1)
-    ->Unit(benchmark::kMillisecond)->ArgNames({"idx"});
-
-void print_table() {
+void print_table(const std::vector<QosResult>& rows) {
   core::Table table(
       "Ablation: QoS for a latency-sensitive flow under bulk saturation",
       {"QoS mode", "probe latency (us)", "probe BW (GB/s)",
        "bulk aggregate (GB/s)"});
-  for (const auto& r : g_rows) {
+  for (const auto& r : rows) {
     table.row({r.mode, core::Table::num(r.probe_latency_us, 2),
                core::Table::num(r.probe_p_bw_gbps, 3),
                core::Table::num(r.bulk_aggregate_gbps, 3)});
@@ -114,10 +105,10 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_table();
+  sim::ArgParser args(
+      "Ablation: QoS for a latency-sensitive flow under bulk saturation");
+  if (!args.parse(argc, argv)) return 1;
+
+  print_table(bench::run_sweep("ablation_qos", kModes, run_mode));
   return 0;
 }

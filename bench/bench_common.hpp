@@ -150,6 +150,22 @@ inline void compress_serving(scenario::ScenarioSpec& spec, double horizon_us) {
   }
 }
 
+/// TFSIM_SERVING_US compression for chaos_mttr: the traffic horizon, the
+/// diurnal period, any lender kill, the SLO window and every chaos event
+/// scale by one factor, so event N still lands at the same fraction of the
+/// run.
+inline void compress_chaos(scenario::ScenarioSpec& spec, double horizon_us) {
+  const double scale = horizon_us / spec.traffic.duration_us;
+  spec.traffic.duration_us = horizon_us;
+  spec.traffic.diurnal_period_us *= scale;
+  if (!spec.faults.kill_lender.empty()) spec.faults.kill_at_us *= scale;
+  spec.slo.window_us *= scale;
+  for (scenario::ChaosEventSpec& ev : spec.chaos.events) {
+    ev.at_us *= scale;
+    ev.for_us *= scale;
+  }
+}
+
 /// Pick a sweep axis with the standard precedence: command-line override >
 /// the scenario's pinned axis > the bench's built-in default.
 template <typename T>

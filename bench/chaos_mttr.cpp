@@ -167,21 +167,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // TFSIM_SERVING_US compresses the whole experiment, keeping its shape:
-  // the chaos timeline, SLO windows, and any lender kill all scale by the
-  // same factor, so event N still lands at the same fraction of the run.
+  // TFSIM_SERVING_US compresses the whole experiment, keeping its shape.
   if (const std::uint64_t us = bench::env_u64("TFSIM_SERVING_US", 0);
       us > 0) {
-    const auto horizon = static_cast<double>(us);
-    const double scale = horizon / spec.traffic.duration_us;
-    spec.traffic.duration_us = horizon;
-    spec.traffic.diurnal_period_us *= scale;
-    if (!spec.faults.kill_lender.empty()) spec.faults.kill_at_us *= scale;
-    spec.slo.window_us *= scale;
-    for (scenario::ChaosEventSpec& ev : spec.chaos.events) {
-      ev.at_us *= scale;
-      ev.for_us *= scale;
-    }
+    bench::compress_chaos(spec, static_cast<double>(us));
   }
   const double window_us = spec.slo.window_us;
   const double horizon_us = spec.traffic.duration_us;

@@ -6,44 +6,29 @@
 // effective delay of ~4 ms) the compute-side FPGA is no longer detected and
 // disaggregated memory cannot attach -- a crash, but at delays far beyond
 // the 99th-percentile of datacenter fabrics.
-#include <benchmark/benchmark.h>
-
+//
+// Each PERIOD is an independent probe, so the sweep fans out across
+// $TFSIM_JOBS workers; the table/CSV are identical for any count.
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/report.hpp"
 #include "core/resilience.hpp"
+#include "sim/config.hpp"
 
 using namespace tfsim;
 
 namespace {
 
-constexpr std::uint64_t kPeriods[] = {1, 10, 100, 1000, 10000};
+const std::vector<std::uint64_t> kPeriods = {1, 10, 100, 1000, 10000};
 
-std::vector<core::ResilienceProbe> g_probes;
-
-void BM_Resilience(benchmark::State& state) {
-  const std::uint64_t period = kPeriods[state.range(0)];
-  for (auto _ : state) {
-    core::ResilienceOptions opts;
-    opts.stream = bench::stream_config();
-    const auto probe = core::assess_resilience(period, opts);
-    state.counters["latency_us"] = probe.stream_latency_us;
-    state.counters["attached"] = probe.attached ? 1 : 0;
-    g_probes.push_back(probe);
-  }
-}
-BENCHMARK(BM_Resilience)
-    ->DenseRange(0, static_cast<int>(std::size(kPeriods)) - 1)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->ArgNames({"idx"});
-
-void print_table() {
+void print_table(const std::vector<core::ResilienceProbe>& probes) {
   core::Table table(
       "Figure 4: reliability under heavy delay injection",
       {"PERIOD", "attached", "STREAM latency (us)", "classification", "paper"});
-  for (const auto& p : g_probes) {
+  for (const auto& p : probes) {
     std::string paper;
     if (p.period == 1) paper = "vanilla baseline";
     if (p.period == 1000) paper = "~400 us, system functional";
@@ -59,10 +44,15 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_table();
+  sim::ArgParser args("Figure 4: reliability under heavy delay injection");
+  if (!args.parse(argc, argv)) return 1;
+
+  core::ResilienceOptions opts;
+  opts.stream = bench::stream_config();
+  const auto probes = bench::run_sweep(
+      "fig4_resilience", kPeriods, [&](std::uint64_t period) {
+        return core::assess_resilience(period, opts);
+      });
+  print_table(probes);
   return 0;
 }

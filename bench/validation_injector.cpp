@@ -7,8 +7,14 @@
 // for a fixed cycle budget; the event-level twin pushes back-to-back
 // requests through a DelayInjector.  Both must deliver one transaction per
 // PERIOD cycles (throughput = 1/PERIOD) with matching inter-arrival gaps.
-#include <benchmark/benchmark.h>
-
+//
+// Each PERIOD is an independent testbench, so the sweep fans out across
+// $TFSIM_JOBS workers; the tables/CSV are identical for any count.
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "axi/checker.hpp"
@@ -22,12 +28,13 @@
 #include "core/protocol_report.hpp"
 #include "core/report.hpp"
 #include "nic/injector.hpp"
+#include "sim/config.hpp"
 
 using namespace tfsim;
 
 namespace {
 
-constexpr std::uint64_t kPeriods[] = {1, 2, 4, 8, 16, 64, 256};
+const std::vector<std::uint64_t> kPeriods = {1, 2, 4, 8, 16, 64, 256};
 constexpr std::uint64_t kCycles = 200'000;
 constexpr double kClockHz = 320e6;
 
@@ -37,8 +44,8 @@ struct Row {
   double rtl_mean_gap;       ///< cycles between consecutive beats
   double event_throughput;   ///< admissions per cycle (event model)
   bool protocol_clean;
+  std::vector<axi::Violation> violations;  ///< printed after the sweep
 };
-std::vector<Row> g_rows;
 
 Row run_one(std::uint64_t period) {
   Row row{};
@@ -70,12 +77,7 @@ Row run_one(std::uint64_t period) {
   row.rtl_mean_gap = mon.gap_stats().mean();
   row.protocol_clean =
       mon.clean() && tb.sink().clean() && flow.entered() == flow.exited();
-  if (!tb.sink().clean()) {
-    core::violation_table("AXI protocol violations (PERIOD=" +
-                              std::to_string(period) + ")",
-                          tb.sink().violations())
-        .print();
-  }
+  row.violations = tb.sink().violations();
 
   // Event-level twin: back-to-back admissions for the same wall-clock span.
   nic::DelayInjector injector(kClockHz, period);
@@ -96,25 +98,20 @@ Row run_one(std::uint64_t period) {
   return row;
 }
 
-void BM_Validate(benchmark::State& state) {
-  const std::uint64_t period = kPeriods[state.range(0)];
-  for (auto _ : state) {
-    const Row row = run_one(period);
-    state.counters["rtl_tput"] = row.rtl_throughput;
-    state.counters["event_tput"] = row.event_throughput;
-    g_rows.push_back(row);
+void print_table(const std::vector<Row>& rows) {
+  for (const auto& r : rows) {
+    if (r.violations.empty()) continue;
+    core::violation_table("AXI protocol violations (PERIOD=" +
+                              std::to_string(r.period) + ")",
+                          r.violations)
+        .print();
   }
-}
-BENCHMARK(BM_Validate)->DenseRange(0, static_cast<int>(std::size(kPeriods)) - 1)
-    ->Iterations(1)->Unit(benchmark::kMillisecond)->ArgNames({"idx"});
-
-void print_table() {
   core::Table table(
       "Injector validation: cycle-level RTL vs event-level model",
       {"PERIOD", "expected tput (1/PERIOD)", "RTL tput", "event tput",
        "RTL mean gap (cycles)", "AXI protocol"});
   double worst_rel_err = 0.0;
-  for (const auto& r : g_rows) {
+  for (const auto& r : rows) {
     const double expected = 1.0 / static_cast<double>(r.period);
     worst_rel_err = std::max(worst_rel_err,
                              std::abs(r.rtl_throughput - r.event_throughput) /
@@ -134,10 +131,10 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_table();
+  sim::ArgParser args(
+      "Injector validation: cycle-level RTL pipeline vs event-level model");
+  if (!args.parse(argc, argv)) return 1;
+
+  print_table(bench::run_sweep("validation_injector", kPeriods, run_one));
   return 0;
 }

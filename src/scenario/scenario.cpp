@@ -638,6 +638,15 @@ void validate(ScenarioSpec& spec) {
     need(!gray || t.lender_capacity_rps > 0.0, "traffic.lender_capacity_rps",
          "must be > 0 when a chaos event is gray_lender" + when);
   }
+  if (spec.topology.kind != TopologyKind::kDirect) {
+    const auto declares = [&](Role role) {
+      return std::any_of(spec.nodes.begin(), spec.nodes.end(),
+                         [&](const NodeDecl& n) { return n.role == role; });
+    };
+    need(declares(Role::kBorrower) && declares(Role::kLender), "nodes",
+         "a " + to_string(spec.topology.kind) +
+             " topology needs at least one borrower and one lender");
+  }
   if (spec.pdes.enabled()) {
     // The PDES lookahead derives from the least propagation in use.
     const TopologySpec& topo = spec.topology;

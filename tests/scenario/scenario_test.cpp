@@ -155,6 +155,24 @@ TEST(ScenarioJsonTest, LeafSpineValidation) {
       << "unknown switch key";
 }
 
+TEST(ScenarioJsonTest, SwitchedFabricNeedsABorrowerAndALender) {
+  // trunk_contention (scenarios/trunk_contention.json) without its lender
+  // declaration: a dumbbell with nothing behind its second switch.
+  Json doc = to_json(*builtin("trunk_contention"));
+  Json borrowers_only = Json::array();
+  borrowers_only.push(doc.find("nodes")->items().at(0));
+  doc.set("nodes", borrowers_only);
+  expect_rejected(doc.dump(),
+                  "nodes: a dumbbell topology needs at least one borrower "
+                  "and one lender");
+  expect_rejected(R"({"nodes": [{"name": "l", "role": "lender"}],
+                      "topology": {"kind": "leaf_spine"}})",
+                  "nodes: a leaf_spine topology needs at least one borrower "
+                  "and one lender");
+  EXPECT_EQ(rejection(R"({"nodes": [{"name": "b"}]})"), "")
+      << "a direct topology keeps its borrower-only default";
+}
+
 TEST(ScenarioJsonTest, UnitsBearingKeysParse) {
   const ScenarioSpec spec = parse(R"({
     "name": "mini",
@@ -468,9 +486,11 @@ std::vector<Json> candidates(const FieldInfo& f, const Json& cur) {
 TEST(ScenarioSchemaTest, EveryFieldRoundTripsAtANonDefaultValue) {
   // One element in every array, so every table row has a leaf to set.
   // traffic.process stays unset: with it set, pdes.threads has no legal
-  // value but 1.
+  // value but 1.  The lender `l` (named by kill_lender) lets
+  // topology.kind take a switched value.
   const Json base = to_json(parse(R"({
-    "nodes": [{"name": "b", "role": "borrower"}],
+    "nodes": [{"name": "b", "role": "borrower"},
+              {"name": "l", "role": "lender"}],
     "reservations": [{"borrower": "b"}],
     "workloads": [{"kind": "flow"}],
     "faults": {"flaps": [{"at_us": 10, "for_us": 5, "factor": 0.5}],

@@ -714,22 +714,13 @@ Run closed_qos(std::uint64_t lines) {
 
 scenario::ScenarioSpec compressed_serving() {
   auto spec = *scenario::builtin("serving_diurnal");
-  spec.traffic.duration_us = 2000.0;
-  spec.traffic.diurnal_period_us = 2000.0;
-  spec.faults.kill_at_us = 1000.0;
-  spec.slo.window_us = 500.0;
+  bench::compress_serving(spec, 2000.0);
   return spec;
 }
 
 scenario::ScenarioSpec compressed_chaos() {
   auto spec = *scenario::builtin("chaos_rack");
-  const double scale = 0.5;
-  spec.traffic.duration_us *= scale;
-  spec.slo.window_us *= scale;
-  for (scenario::ChaosEventSpec& ev : spec.chaos.events) {
-    ev.at_us *= scale;
-    ev.for_us *= scale;
-  }
+  bench::compress_chaos(spec, 8000.0);
   return spec;
 }
 

@@ -122,12 +122,13 @@ Run closed_mixed(std::uint64_t lines);
 /// interleaved by context clock): both window classes fill and stall.
 Run closed_qos(std::uint64_t lines);
 
-/// serving_diurnal compressed to one 2 ms diurnal cycle, the lender kill at
-/// its 1 ms peak, 500 us SLO windows.
+/// serving_diurnal through bench::compress_serving at 2 ms: one diurnal
+/// cycle, the lender kill at its 1 ms peak, 500 us SLO windows.
 scenario::ScenarioSpec compressed_serving();
 
-/// chaos_rack at half duration: every chaos event and the SLO window scale
-/// with the horizon, so all of them still land inside the run.
+/// chaos_rack through bench::compress_chaos at 8 ms, half its duration:
+/// every chaos event and the SLO window scale with the horizon, so all of
+/// them still land inside the run.
 scenario::ScenarioSpec compressed_chaos();
 
 struct ServingRun {
