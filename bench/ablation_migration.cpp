@@ -1,10 +1,14 @@
 // Ablation: hot-page migration (the paper's proposed OS-level mechanism).
 //
-// Under sustained delay injection, latency-sensitive pages (Graph500's
-// parent/visited arrays, re-touched across epochs) migrate to local DRAM,
-// while streaming pages (the adjacency arrays, one burst each) never
-// qualify.  STREAM therefore sees no benefit -- its entire footprint is
-// single-burst -- which is exactly the selectivity an OS policy needs.
+// Under sustained delay injection the migration daemon moves pages whose
+// remote-access count crosses its hotness threshold (node::MigrationConfig
+// defaults) to local DRAM.  The bench runs Graph500 BFS, whose parent and
+// visited arrays are re-touched across epochs, and STREAM, whose arrays
+// are swept in long bursts, with migration off and on, and reports what
+// the daemon moved and what it bought.  It does not assume a selective
+// policy: at default sizes STREAM's pages qualify too (3663 pages, 228 MB,
+// 1.02x) alongside BFS's (1406 pages, 87 MB, 1.31x); the closing line is
+// printed from the measured rows.
 //
 // The four runs (BFS and STREAM, migration off and on) are independent
 // Sessions, so the sweep fans out across $TFSIM_JOBS workers; the shared
@@ -85,9 +89,17 @@ void print_table(const std::vector<Outcome>& outcomes) {
   row("STREAM", outcomes[2], outcomes[3]);
   table.print();
   table.to_csv(bench::csv_path("ablation_migration.csv"));
-  std::puts("Migration rescues the workload whose hot set is small and"
-            " re-accessed (Graph500's parent array) and correctly declines"
-            " to chase single-burst streams (STREAM).");
+  const auto summary = [](const char* name, const Outcome& off,
+                          const Outcome& on) {
+    std::printf("%s: %llu pages (%llu MB) migrated, %.2fx", name,
+                static_cast<unsigned long long>(on.pages_migrated),
+                static_cast<unsigned long long>(on.mb_migrated),
+                core::degradation_from_times(off.elapsed, on.elapsed));
+  };
+  summary("Graph500 BFS job", outcomes[0], outcomes[1]);
+  std::printf("; ");
+  summary("STREAM", outcomes[2], outcomes[3]);
+  std::printf(".\n");
 }
 
 }  // namespace

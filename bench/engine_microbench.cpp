@@ -1,8 +1,8 @@
-// Event-engine hot-path microbenchmark: schedule/fire, cancellation, and
-// nested-reschedule throughput of sim::Engine, the per-node window protocol,
-// hop-by-hop frame forwarding over a leaf/spine fabric, and the two layers
-// of the closed-loop miss path: an all-miss walk of the cache hierarchy and
-// a saturated NIC transaction.
+// Event-engine hot-path microbenchmark: schedule/fire, cancellation,
+// serving-shaped captures and nested-reschedule throughput of sim::Engine,
+// the per-node window protocol, hop-by-hop frame forwarding over a
+// leaf/spine fabric, and the two layers of the closed-loop miss path: an
+// all-miss walk of the cache hierarchy and a saturated NIC transaction.
 //
 // Emits BENCH_engine.json (google-benchmark JSON, mirrored into
 // $TFSIM_CSV_DIR) unless the caller passes its own --benchmark_out, so CI
@@ -65,6 +65,31 @@ void BM_ScheduleCancel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(batch) * state.iterations());
 }
 BENCHMARK(BM_ScheduleCancel)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
+
+// The calendar cost of a serving-shaped callback: like the core::run_serving
+// request path's events, each capture is larger than 16 bytes and holds a
+// std::function (the open-loop source's completion functor), so the row
+// tracks inline storage of non-trivially-copyable captures against boxing
+// them on the heap.
+void BM_ScheduleServingShaped(benchmark::State& state) {
+  const auto batch = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t sink = 0;
+  const std::function<void(Time, std::uint64_t)> done =
+      [&sink](Time t, std::uint64_t salt) { sink += t ^ salt; };
+  for (auto _ : state) {
+    Engine e;
+    for (std::uint64_t i = 0; i < batch; ++i) {
+      e.schedule_at(i % 64, [&e, salt = i * 0x9e3779b97f4a7c15ULL,
+                             lender = static_cast<std::uint32_t>(i), done] {
+        done(e.now() + lender, salt);
+      });
+    }
+    e.run();
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(batch) * state.iterations());
+}
+BENCHMARK(BM_ScheduleServingShaped)->Arg(1 << 10)->Arg(1 << 14);
 
 // Timer-wheel churn: a fixed population of self-rescheduling events, the
 // steady-state shape of NIC/link/server models (schedule from inside a

@@ -186,22 +186,23 @@ sim::Time Network::min_propagation() const {
 void Network::post_routed(sim::ParallelEngine& pdes, sim::Time now, NodeId src,
                           NodeId dst, std::uint64_t wire_bytes,
                           sim::Priority prio, std::uint64_t flow_salt,
-                          std::function<void(const Delivery&)> on_arrival) {
+                          ArrivalFn on_arrival) {
   ensure_routes();
   if (!table_.reachable(src, dst)) {
     throw std::invalid_argument("Network::post_routed: no route " +
                                 names_.at(src) + "->" + names_.at(dst));
   }
   const std::uint32_t idx = acquire_frame();
-  frames_[idx] = RoutedFrame{.pdes = &pdes,
-                             .cur = src,
-                             .src = src,
-                             .dst = dst,
-                             .d = Delivery{.arrival = now},
-                             .wire_bytes = wire_bytes,
-                             .prio = prio,
-                             .flow_salt = flow_salt,
-                             .on_arrival = std::move(on_arrival)};
+  RoutedFrame& f = frames_[idx];
+  f.pdes = &pdes;
+  f.cur = src;
+  f.src = src;
+  f.dst = dst;
+  f.d = Delivery{.arrival = now};
+  f.wire_bytes = wire_bytes;
+  f.prio = prio;
+  f.flow_salt = flow_salt;
+  f.on_arrival = std::move(on_arrival);
   step_routed(idx);
 }
 
@@ -250,7 +251,7 @@ void Network::finish_routed(std::uint32_t idx) {
   // Free the slot before the callback runs: it may post_routed again and
   // grow the slab under a reference into it.
   RoutedFrame& f = frames_[idx];
-  const std::function<void(const Delivery&)> cb = std::move(f.on_arrival);
+  ArrivalFn cb = std::move(f.on_arrival);
   const Delivery d = f.d;
   release_frame(idx);
   cb(d);

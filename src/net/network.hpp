@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -33,6 +32,7 @@
 #include "net/routing.hpp"
 #include "net/switch.hpp"
 #include "sim/domain.hpp"
+#include "sim/engine.hpp"
 
 namespace tfsim::sim {
 class ParallelEngine;
@@ -54,6 +54,11 @@ struct Delivery {
 
 class Network {
  public:
+  /// A post_routed frame's arrival callback; captures of up to
+  /// sim::Engine::kCallbackBytes are stored inline.
+  using ArrivalFn =
+      sim::InlineFunction<void(const Delivery&), sim::Engine::kCallbackBytes>;
+
   /// Register a host node; returns its id.
   NodeId add_node(const std::string& name);
 
@@ -113,9 +118,10 @@ class Network {
   /// horizon always clears.
   ///
   /// An in-flight frame lives in a slot of a network-owned slab and each
-  /// hop's event carries only (network, slot), which std::function stores
-  /// inline: once the slab and the calendars are warm, forwarding a frame
-  /// allocates nothing beyond what `on_arrival`'s own captures need.  The
+  /// hop's event carries only (network, slot).  Both that event and
+  /// `on_arrival` keep their captures inline (sim::InlineFunction), so once
+  /// the slab and the calendars are warm, forwarding a frame allocates
+  /// nothing unless `on_arrival`'s captures outgrow ArrivalFn's buffer.  The
   /// slab is shared by every domain, which is sound because windows run
   /// serially (sim/pdes.hpp).  A hop that throws frees its slot.  A frame
   /// whose next hop was still buffered when ParallelEngine::run() aborted
@@ -123,8 +129,7 @@ class Network {
   /// `on_arrival`'s captures, until this Network is destroyed.
   void post_routed(sim::ParallelEngine& pdes, sim::Time now, NodeId src,
                    NodeId dst, std::uint64_t wire_bytes, sim::Priority prio,
-                   std::uint64_t flow_salt,
-                   std::function<void(const Delivery&)> on_arrival);
+                   std::uint64_t flow_salt, ArrivalFn on_arrival);
 
   /// Wrap every existing link with a FaultyLink driven by `cfg`; each link
   /// gets an independent stream split off cfg.seed via link_fault_seed, so
@@ -170,7 +175,7 @@ class Network {
     std::uint64_t wire_bytes = 0;
     sim::Priority prio = sim::Priority::kBulk;
     std::uint64_t flow_salt = 0;
-    std::function<void(const Delivery&)> on_arrival;
+    ArrivalFn on_arrival;
   };
   /// Forward frame `idx` one hop from its current node (executing in that
   /// node's domain at d.arrival).

@@ -5,27 +5,37 @@
 // construction — equal-time events run in the order they were scheduled.
 //
 // Storage is a slab: callbacks live in pooled slots recycled through a free
-// list, and the priority queue holds small trivially-copyable entries that
-// reference slots by (index, generation).  Scheduling therefore costs no
-// per-event heap allocation (beyond std::function capture storage), and a
-// stale handle — cancelled, fired, or slot-reused — is detected by a
-// generation mismatch instead of a shared_ptr control block.
+// list, and the calendar is a 4-ary min-heap of 24-byte trivially copyable
+// entries (time, seq, slot, 32-bit generation) that reference slots.  A
+// callback is an InlineFunction (sim/inline_function.hpp) that keeps
+// captures of up to kCallbackBytes in the slot itself, so scheduling costs
+// no heap allocation once the slab and the heap have grown, and moving a
+// trivially copyable capture is a memcpy.  A slot's generation is odd while
+// it holds a pending event; it increments when the slot is taken and again
+// when it is released (fired or cancelled), so a stale heap entry or handle
+// is detected by a generation mismatch instead of a shared_ptr control
+// block.  A stale entry could only be mistaken for a live one after 2^31
+// reuses of its slot while it still sits in the heap.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "sim/domain.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/units.hpp"
 
 namespace tfsim::sim {
 
 class Engine {
  public:
-  using Callback = std::function<void()>;
+  /// Inline capture capacity of a Callback: sized so every callback of the
+  /// serving request path (core/serving.cpp) is stored without a heap box.
+  static constexpr std::size_t kCallbackBytes = 48;
+  using Callback = InlineFunction<void(), kCallbackBytes>;
 
   /// Handle for cancelling a scheduled event.  Default-constructed handles
   /// are inert; cancel() on an already-fired event is a no-op.  A handle
@@ -39,11 +49,11 @@ class Engine {
 
    private:
     friend class Engine;
-    EventId(const Engine* owner, std::uint32_t slot, std::uint64_t gen)
+    EventId(const Engine* owner, std::uint32_t slot, std::uint32_t gen)
         : owner_(owner), slot_(slot), gen_(gen) {}
     const Engine* owner_ = nullptr;
     std::uint32_t slot_ = 0;
-    std::uint64_t gen_ = 0;
+    std::uint32_t gen_ = 0;
   };
 
   Engine() = default;
@@ -53,13 +63,15 @@ class Engine {
   /// Current simulated time.
   Time now() const { return now_; }
 
-  /// Schedule `cb` at absolute time `t` (must be >= now()).
-  EventId schedule_at(Time t, Callback cb);
+  /// Schedule `cb` at absolute time `t` (must be >= now()).  Callbacks are
+  /// taken by rvalue reference (a lambda converts to a temporary) so the
+  /// calendar moves each one once, into its slot.
+  EventId schedule_at(Time t, Callback&& cb);
 
   /// Schedule `cb` `dt` after the current time.  Throws std::logic_error
   /// when now() + dt does not fit in Time (e.g. a zero-bandwidth
   /// serialization delay) instead of wrapping into the past.
-  EventId schedule_in(Time dt, Callback cb);
+  EventId schedule_in(Time dt, Callback&& cb);
 
   /// Cancel a previously scheduled event.  Safe on fired/invalid ids.
   /// Presenting a handle minted by a *different* engine is a no-op on this
@@ -75,8 +87,16 @@ class Engine {
   /// Run until the calendar is empty.
   void run();
 
-  /// Run events with time <= t, then set now() = t.
-  void run_until(Time t);
+  /// Run events with time <= t, then set now() = t.  An empty calendar
+  /// (the closed-loop miss path's case) only advances the clock.
+  void run_until(Time t) {
+    if (live_ == 0) {
+      heap_.clear();  // nothing but stale entries, if anything
+      if (t > now_) now_ = t;
+      return;
+    }
+    run_events_until(t);
+  }
 
   /// Run events with time strictly < t; now() is left at the last executed
   /// event (NOT advanced to t).  This is the PDES window primitive: a
@@ -111,53 +131,50 @@ class Engine {
   DomainId domain_id() const { return domain_id_; }
 
  private:
-  /// Pooled callback storage.  `gen` increments every time the slot is
-  /// released (fired or cancelled), invalidating queue entries and handles
-  /// minted against the old generation.
-  struct Slot {
-    Callback cb;
-    std::uint64_t gen = 0;
-    bool live = false;
-  };
-  /// Calendar entry: trivially copyable, so popping never needs to move a
-  /// callback (or const_cast priority_queue::top()).
+  /// Calendar entry, ordered by (time, seq).  `gen` is the slot's generation
+  /// when the event was scheduled; the entry is live while they still match.
   struct Entry {
     Time time;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint64_t gen;
+    std::uint32_t gen;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  static_assert(sizeof(Entry) == 24);
 
-  bool entry_live(const Entry& e) const {
-    const Slot& s = slots_[e.slot];
-    return s.live && s.gen == e.gen;
+  /// (time, seq) order as one 128-bit key: a compare is a subtract with
+  /// borrow, so selecting the least of four children needs no branch.
+  static unsigned __int128 key(const Entry& e) {
+    return (static_cast<unsigned __int128>(e.time) << 64) | e.seq;
   }
+  static constexpr std::size_t kArity = 4;
+
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx);
-  bool pop_next(Entry& ev);
+  void heap_push(const Entry& e);
+  void heap_pop();
+  /// The earliest live entry, popping stale ones off the top first; nullptr
+  /// when the calendar is empty.
+  const Entry* live_top();
+  /// Pop the (live) top entry and run its callback.
+  void fire_top();
+  void run_events_until(Time t);
   void report_foreign_cancel(const EventId& id) const;
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;  // released slot indices, LIFO reuse
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Callback> callbacks_;     // per slot; empty when released
+  std::vector<std::uint32_t> gens_;     // per slot; odd while pending
+  std::vector<std::uint32_t> free_;     // released slot indices, LIFO reuse
+  std::vector<Entry> heap_;             // 4-ary min-heap on key()
   DomainChecker* checker_ = nullptr;  // foreign-cancel reporting (optional)
   DomainId domain_id_ = kNoDomain;
 };
 
 inline bool Engine::EventId::valid() const {
-  if (owner_ == nullptr || slot_ >= owner_->slots_.size()) return false;
-  const Slot& s = owner_->slots_[slot_];
-  return s.live && s.gen == gen_;
+  return owner_ != nullptr && slot_ < owner_->gens_.size() &&
+         owner_->gens_[slot_] == gen_;
 }
 
 }  // namespace tfsim::sim

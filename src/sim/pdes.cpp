@@ -35,7 +35,7 @@ void ParallelEngine::set_lookahead(Time lookahead) {
 }
 
 void ParallelEngine::post(DomainId src, DomainId dst, Time t,
-                          Engine::Callback cb) {
+                          Engine::Callback&& cb) {
   if (src >= domains_.size() || dst >= domains_.size()) {
     throw std::out_of_range("ParallelEngine::post: domain id out of range");
   }
@@ -57,7 +57,7 @@ void ParallelEngine::post(DomainId src, DomainId dst, Time t,
   // (see flush_outboxes).
   std::vector<Pending>& box = outboxes_[src];
   if (box.empty()) posted_.push_back(src);
-  box.push_back(Pending{dst, t, std::move(cb)});
+  box.emplace_back(dst, t, std::move(cb));
 }
 
 void ParallelEngine::flush_outboxes() {

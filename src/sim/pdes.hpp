@@ -77,7 +77,7 @@ class ParallelEngine {
   /// posting domain itself are unconstrained beyond `t >= now()` —
   /// zero-delay self-sends are legal.  Outside run() (setup), posts
   /// schedule directly into the target calendar.
-  void post(DomainId src, DomainId dst, Time t, Engine::Callback cb);
+  void post(DomainId src, DomainId dst, Time t, Engine::Callback&& cb);
 
   /// Execute windows until every calendar is empty.  May be called
   /// repeatedly; throws std::logic_error when lookahead <= 0.  A domain

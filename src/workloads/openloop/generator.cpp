@@ -1,15 +1,23 @@
 #include "workloads/openloop/generator.hpp"
 
+#include <type_traits>
 #include <utility>
 
 namespace tfsim::workloads {
+
+namespace {
+constexpr std::size_t kInitialPending = 64;  // a power of two
+}  // namespace
+
+static_assert(std::is_trivially_copyable_v<OpenLoopSource::CompletionFn>);
 
 OpenLoopSource::OpenLoopSource(sim::Engine& engine, OpenLoopConfig cfg,
                                DispatchFn dispatch)
     : engine_(engine),
       cfg_(cfg),
       dispatch_(std::move(dispatch)),
-      arrivals_(cfg.arrivals) {}
+      arrivals_(cfg.arrivals),
+      pending_(kInitialPending) {}
 
 void OpenLoopSource::start() {
   const sim::Time first = arrivals_.next();
@@ -41,31 +49,34 @@ void OpenLoopSource::on_arrival(sim::Time t) {
 }
 
 void OpenLoopSource::dispatch(sim::Time now, sim::Time arrival) {
-  const std::uint64_t id = next_req_id_++;
+  const std::uint64_t id = next_req_id_;
+  if (id - pending_base_ >= pending_.size()) grow_pending();
+  ++next_req_id_;
   ++counters_.dispatched;
   ++counters_.in_flight;
-  Pending p;
-  p.arrival = arrival;
+  Pending& p = pending_[id & (pending_.size() - 1)];
+  p = Pending{.arrival = arrival, .timeout = {}, .live = true};
   if (cfg_.request_timeout > 0) {
     p.timeout = engine_.schedule_in(cfg_.request_timeout, [this, id] {
       finish(id, engine_.now(), RequestOutcome::kFailed);
     });
   }
-  pending_.emplace(id, p);
-  dispatch_(now, id, [this, id](sim::Time t, RequestOutcome outcome) {
-    finish(id, t, outcome);
-  });
+  dispatch_(now, id, CompletionFn(this, id));
 }
 
 void OpenLoopSource::finish(std::uint64_t req_id, sim::Time t,
                             RequestOutcome outcome) {
-  auto it = pending_.find(req_id);
+  Pending* p = find_pending(req_id);
   // Late responses (the timeout already declared the request failed) are
   // dropped, exactly like a NIC completing a replay-abandoned tag.
-  if (it == pending_.end()) return;
-  const sim::Time arrival = it->second.arrival;
-  engine_.cancel(it->second.timeout);
-  pending_.erase(it);
+  if (p == nullptr) return;
+  const sim::Time arrival = p->arrival;
+  engine_.cancel(p->timeout);
+  p->live = false;
+  const std::size_t mask = pending_.size() - 1;
+  while (pending_base_ < next_req_id_ && !pending_[pending_base_ & mask].live) {
+    ++pending_base_;
+  }
   --counters_.in_flight;
   switch (outcome) {
     case RequestOutcome::kCompleted: ++counters_.completed; break;
@@ -75,6 +86,22 @@ void OpenLoopSource::finish(std::uint64_t req_id, sim::Time t,
   }
   if (observer_) observer_(arrival, t, outcome, req_id);
   drain_queue(t);
+}
+
+OpenLoopSource::Pending* OpenLoopSource::find_pending(std::uint64_t req_id) {
+  if (req_id < pending_base_ || req_id >= next_req_id_) return nullptr;
+  Pending& p = pending_[req_id & (pending_.size() - 1)];
+  return p.live ? &p : nullptr;
+}
+
+void OpenLoopSource::grow_pending() {
+  std::vector<Pending> bigger(pending_.size() * 2);
+  const std::size_t old_mask = pending_.size() - 1;
+  const std::size_t new_mask = bigger.size() - 1;
+  for (std::uint64_t id = pending_base_; id < next_req_id_; ++id) {
+    bigger[id & new_mask] = pending_[id & old_mask];
+  }
+  pending_.swap(bigger);
 }
 
 void OpenLoopSource::drain_queue(sim::Time now) {

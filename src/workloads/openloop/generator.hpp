@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "workloads/openloop/arrivals.hpp"
@@ -63,10 +63,25 @@ struct OpenLoopCounters {
 
 class OpenLoopSource {
  public:
-  /// The sink reports the request's fate (kCompleted or kRejected) at the
-  /// given time; calling it after the source's timeout already fired is a
-  /// harmless no-op (the late response is dropped, as on a real NIC).
-  using CompletionFn = std::function<void(sim::Time, RequestOutcome)>;
+  /// The sink's handle on one dispatched request: it reports the request's
+  /// fate (kCompleted or kRejected) at the given time; calling it after the
+  /// source's timeout already fired is a harmless no-op (the late response
+  /// is dropped, as on a real NIC).  Two words and trivially copyable, so
+  /// an event that carries it stays small and moves as a memcpy.  It must
+  /// not outlive its source.
+  class CompletionFn {
+   public:
+    void operator()(sim::Time t, RequestOutcome outcome) const {
+      source_->finish(id_, t, outcome);
+    }
+
+   private:
+    friend class OpenLoopSource;
+    CompletionFn(OpenLoopSource* source, std::uint64_t id)
+        : source_(source), id_(id) {}
+    OpenLoopSource* source_;
+    std::uint64_t id_;
+  };
   /// Invoked on the source's engine when a request enters service.
   using DispatchFn =
       std::function<void(sim::Time now, std::uint64_t req_id, CompletionFn)>;
@@ -98,6 +113,7 @@ class OpenLoopSource {
   struct Pending {
     sim::Time arrival = 0;
     sim::Engine::EventId timeout;
+    bool live = false;  ///< dispatched and not yet finished
   };
 
   void on_arrival(sim::Time t);
@@ -105,6 +121,10 @@ class OpenLoopSource {
   void dispatch(sim::Time now, sim::Time arrival);
   void finish(std::uint64_t req_id, sim::Time t, RequestOutcome outcome);
   void drain_queue(sim::Time now);
+  /// The pending record of `req_id`, or nullptr once it has finished.
+  Pending* find_pending(std::uint64_t req_id);
+  /// Double the ring, re-laying every unfinished id at its new index.
+  void grow_pending();
 
   sim::Engine& engine_;
   OpenLoopConfig cfg_;
@@ -113,8 +133,17 @@ class OpenLoopSource {
   ArrivalProcess arrivals_;
   OpenLoopCounters counters_;
   std::uint64_t next_req_id_ = 0;
-  std::map<std::uint64_t, Pending> pending_;  // ordered: deterministic
-  std::deque<sim::Time> queue_;               // arrival times, FIFO
+  /// Dispatched requests by id.  Ids are dense and increasing, so a
+  /// power-of-two ring indexed by id covers [pending_base_, next_req_id_):
+  /// pending_base_ is the oldest unfinished id, and finishing it advances
+  /// the base past every later id already finished.  The span is the ids
+  /// dispatched since the oldest unfinished one -- at most max_in_flight
+  /// when requests finish in order, otherwise bounded by what one
+  /// request_timeout lets through -- and the ring doubles when it outgrows
+  /// its slots.
+  std::vector<Pending> pending_;
+  std::uint64_t pending_base_ = 0;
+  std::deque<sim::Time> queue_;  // arrival times, FIFO
 };
 
 }  // namespace tfsim::workloads

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tfsim::sim {
@@ -243,6 +248,262 @@ TEST(EngineTest, CancellationStressAcrossGenerations) {
   // Per round: 100 scheduled, 34 cancelled (i = 0, 3, ..., 99), 66 fire.
   EXPECT_EQ(fired, kRounds * 66);
   EXPECT_EQ(e.executed(), static_cast<std::uint64_t>(kRounds * 66));
+}
+
+// --- differential check against a naive reference calendar -----------------
+
+// The calendar's contract, spelled out as simply as possible: a sorted
+// (time, seq) map, a clock, and counters.  Labels name events; an event
+// whose label is below kChildBase and divisible by 4 schedules one child
+// (label + kChildBase) at now + label % 3 when it fires, so both calendars
+// also schedule from inside callbacks.
+constexpr int kChildBase = 1'000'000;
+
+struct ReferenceCalendar {
+  std::map<std::pair<Time, std::uint64_t>, int> cal;
+  std::map<int, std::pair<Time, std::uint64_t>> where;  // pending labels
+  std::vector<int> fired;
+  Time now = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t executed = 0;
+
+  void schedule_at(Time t, int label) {
+    cal[{t, seq}] = label;
+    where[label] = {t, seq};
+    ++seq;
+  }
+  void cancel(int label) {
+    const auto it = where.find(label);
+    if (it == where.end()) return;
+    cal.erase(it->second);
+    where.erase(it);
+  }
+  void fire_first() {
+    const auto it = cal.begin();
+    const int label = it->second;
+    now = it->first.first;
+    where.erase(label);
+    cal.erase(it);
+    ++executed;
+    fired.push_back(label);
+    if (label < kChildBase && label % 4 == 0) {
+      schedule_at(now + static_cast<Time>(label % 3), label + kChildBase);
+    }
+  }
+  bool step() {
+    if (cal.empty()) return false;
+    fire_first();
+    return true;
+  }
+  void run_until(Time t) {
+    while (!cal.empty() && cal.begin()->first.first <= t) fire_first();
+    if (t > now) now = t;
+  }
+  Time run_before(Time t) {
+    while (!cal.empty() && cal.begin()->first.first < t) fire_first();
+    return cal.empty() ? kTimeNever : cal.begin()->first.first;
+  }
+};
+
+struct EngineUnderTest {
+  Engine e;
+  std::map<int, Engine::EventId> ids;     // reset by cancel()
+  std::map<int, Engine::EventId> copies;  // never reset: stale handles
+  std::vector<int> fired;
+
+  void schedule(Time t, int label, bool relative) {
+    auto cb = [this, label] {
+      fired.push_back(label);
+      if (label < kChildBase && label % 4 == 0) {
+        add(e.now() + static_cast<Time>(label % 3), label + kChildBase);
+      }
+    };
+    const Engine::EventId id =
+        relative ? e.schedule_in(t, std::move(cb)) : e.schedule_at(t, cb);
+    ids[label] = id;
+    copies[label] = id;
+  }
+  void add(Time t, int label) { schedule(t, label, false); }
+};
+
+TEST(EngineDifferentialTest, MatchesReferenceCalendarUnderRandomOps) {
+  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 4242ULL}) {
+    std::mt19937_64 rng(seed);
+    const auto draw = [&rng](std::uint64_t n) { return rng() % n; };
+    EngineUnderTest sut;
+    ReferenceCalendar ref;
+    int next_label = 0;
+    for (int op = 0; op < 4000; ++op) {
+      switch (draw(8)) {
+        case 0:
+        case 1: {  // schedule_at, times colliding within a narrow band
+          const Time t = ref.now + draw(6);
+          sut.add(t, next_label);
+          ref.schedule_at(t, next_label++);
+          break;
+        }
+        case 2: {  // schedule_in
+          const Time dt = draw(6);
+          sut.schedule(dt, next_label, true);
+          ref.schedule_at(ref.now + dt, next_label++);
+          break;
+        }
+        case 3: {  // cancel through a live, reset or stale handle
+          if (next_label == 0) break;
+          const int label = static_cast<int>(
+              draw(static_cast<std::uint64_t>(next_label)));
+          auto& handles = draw(2) == 0 ? sut.ids : sut.copies;
+          sut.e.cancel(handles[label]);
+          ref.cancel(label);
+          break;
+        }
+        case 4:
+          ASSERT_EQ(sut.e.step(), ref.step()) << "op " << op;
+          break;
+        case 5: {
+          const Time t = ref.now + draw(8);
+          ASSERT_EQ(sut.e.run_before(t), ref.run_before(t)) << "op " << op;
+          break;
+        }
+        case 6: {
+          const Time t = ref.now + draw(8);
+          sut.e.run_until(t);
+          ref.run_until(t);
+          break;
+        }
+        default: {
+          const auto next = sut.e.next_event_time();
+          ASSERT_EQ(next.has_value(), !ref.cal.empty());
+          if (next.has_value()) {
+            ASSERT_EQ(*next, ref.cal.begin()->first.first);
+          }
+          break;
+        }
+      }
+      ASSERT_EQ(sut.fired, ref.fired) << "seed " << seed << " op " << op;
+      ASSERT_EQ(sut.e.now(), ref.now) << "seed " << seed << " op " << op;
+      ASSERT_EQ(sut.e.pending(), ref.where.size()) << "op " << op;
+      ASSERT_EQ(sut.e.executed(), ref.executed) << "op " << op;
+      for (const auto& [label, id] : sut.copies) {
+        ASSERT_EQ(id.valid(), ref.where.count(label) == 1)
+            << "seed " << seed << " op " << op << " label " << label;
+      }
+    }
+    sut.e.run();
+    while (ref.step()) {
+    }
+    EXPECT_EQ(sut.fired, ref.fired) << "seed " << seed;
+    EXPECT_GT(ref.executed, 1000u);
+  }
+}
+
+// --- callback lifetime ----------------------------------------------------
+
+// A capture that counts its constructions and destructions, and the
+// destructions of its owning (not moved-from) instance per logical callback.
+struct LifetimeLedger {
+  std::int64_t alive = 0;
+  std::map<int, int> owner_destroyed;
+};
+
+template <std::size_t Pad>
+struct Counted {
+  LifetimeLedger* ledger;
+  int label;
+  bool owner = true;
+  unsigned char pad[Pad] = {};
+
+  Counted(LifetimeLedger* l, int lab) : ledger(l), label(lab) {
+    ++ledger->alive;
+  }
+  Counted(const Counted& o) : ledger(o.ledger), label(o.label) {
+    ++ledger->alive;
+  }
+  Counted(Counted&& o) noexcept : ledger(o.ledger), label(o.label) {
+    o.owner = false;
+    ++ledger->alive;
+  }
+  Counted& operator=(const Counted&) = delete;
+  Counted& operator=(Counted&&) = delete;
+  ~Counted() {
+    --ledger->alive;
+    if (owner) ++ledger->owner_destroyed[label];
+  }
+};
+
+template <std::size_t Pad, bool kInline>
+void check_lifetimes() {
+  LifetimeLedger ledger;
+  int ran = 0;
+  const auto make = [&](int label, bool throws) {
+    return [c = Counted<Pad>(&ledger, label), &ran, throws] {
+      ++ran;
+      if (throws) throw std::runtime_error("callback failed");
+    };
+  };
+  static_assert(Engine::Callback::stores_inline<decltype(make(0, false))> ==
+                kInline);
+  {
+    Engine e;
+    e.schedule_at(1, make(0, false));                  // fired
+    Engine::EventId id = e.schedule_at(2, make(1, false));
+    e.cancel(id);                                       // cancelled
+    e.schedule_at(3, make(2, true));                    // throws in step
+    e.schedule_at(10, make(3, false));                  // left pending
+    EXPECT_TRUE(e.step());
+    EXPECT_THROW(e.step(), std::runtime_error);
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(e.pending(), 1u);
+    EXPECT_EQ(ledger.owner_destroyed[0], 1) << "fired";
+    EXPECT_EQ(ledger.owner_destroyed[1], 1) << "cancelled";
+    EXPECT_EQ(ledger.owner_destroyed[2], 1) << "threw from step";
+    EXPECT_EQ(ledger.owner_destroyed.count(3), 0u) << "still pending";
+  }
+  EXPECT_EQ(ledger.owner_destroyed[3], 1) << "pending at engine destruction";
+  EXPECT_EQ(ledger.alive, 0) << "every instance made was destroyed";
+  for (const auto& [label, n] : ledger.owner_destroyed) {
+    EXPECT_EQ(n, 1) << "label " << label;
+  }
+}
+
+TEST(EngineLifetimeTest, InlineCaptureDestroyedExactlyOnce) {
+  check_lifetimes<8, true>();
+}
+
+TEST(EngineLifetimeTest, BoxedCaptureDestroyedExactlyOnce) {
+  check_lifetimes<Engine::kCallbackBytes, false>();
+}
+
+// --- the callable type itself ----------------------------------------------
+
+TEST(InlineFunctionTest, StoresSmallCapturesInlineAndMovesThem) {
+  using Fn = InlineFunction<int(int), 16>;
+  struct Small {
+    int base;
+    int operator()(int x) const { return base + x; }
+  };
+  struct Large {
+    int v[8];
+    int operator()(int x) const { return v[7] + x; }
+  };
+  static_assert(Fn::stores_inline<Small>);
+  static_assert(!Fn::stores_inline<Large>);
+  Fn a = Small{40};
+  Fn b = std::move(a);
+  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(static_cast<bool>(b));
+  EXPECT_EQ(b(2), 42);
+  Fn c = Large{{0, 0, 0, 0, 0, 0, 0, 5}};
+  b = std::move(c);
+  EXPECT_EQ(b(1), 6);
+  b = nullptr;
+  EXPECT_FALSE(static_cast<bool>(b));
+  // A move-only capture is fine: the type never copies.
+  InlineFunction<int(), 16> owner = [p = std::make_unique<int>(7)] {
+    return *p;
+  };
+  InlineFunction<int(), 16> moved = std::move(owner);
+  EXPECT_EQ(moved(), 7);
 }
 
 }  // namespace

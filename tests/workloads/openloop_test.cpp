@@ -3,6 +3,8 @@
 // under completion, shedding, rejection, and timeout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -238,6 +240,111 @@ TEST(OpenLoopSourceTest, ObserverFiresOncePerOfferedRequest) {
   const OpenLoopCounters& c = src.counters();
   EXPECT_EQ(fires, c.offered) << "observer must see every terminal request";
   EXPECT_EQ(shed_fires, c.shed);
+  EXPECT_TRUE(c.balanced());
+}
+
+// --- the pending-request ring ----------------------------------------------
+
+// A sink that keeps every completion handle, answering nothing by itself.
+struct HeldSink {
+  std::vector<OpenLoopSource::CompletionFn> held;
+  OpenLoopSource::DispatchFn fn() {
+    return [this](sim::Time, std::uint64_t req_id,
+                  OpenLoopSource::CompletionFn done) {
+      EXPECT_EQ(req_id, held.size()) << "ids are dense and increasing";
+      held.push_back(done);
+    };
+  }
+};
+
+TEST(OpenLoopSourceTest, OutOfOrderFinishesEachCountOnce) {
+  sim::Engine engine;
+  OpenLoopConfig cfg = source_cfg(1e6, 40.0);
+  cfg.max_in_flight = 1000;
+  cfg.queue_depth = 0;
+  HeldSink sink;
+  OpenLoopSource src(engine, cfg, sink.fn());
+  std::map<std::uint64_t, int> seen;
+  src.set_observer([&](sim::Time, sim::Time, RequestOutcome outcome,
+                       std::uint64_t req_id) {
+    EXPECT_EQ(outcome, RequestOutcome::kCompleted);
+    ++seen[req_id];
+  });
+  src.start();
+  engine.run();
+  const std::size_t n = sink.held.size();
+  ASSERT_GT(n, 20u);
+  // Finish odd ids newest first, then even ids oldest first.
+  sim::Time t = engine.now();
+  for (std::size_t i = n; i-- > 0;) {
+    if (i % 2 == 1) sink.held[i](++t, RequestOutcome::kCompleted);
+  }
+  EXPECT_EQ(src.counters().in_flight, (n + 1) / 2);
+  for (std::size_t i = 0; i < n; i += 2) {
+    sink.held[i](++t, RequestOutcome::kCompleted);
+  }
+  // Answering again is a no-op.
+  for (auto& done : sink.held) done(++t, RequestOutcome::kCompleted);
+  const OpenLoopCounters& c = src.counters();
+  EXPECT_EQ(c.completed, n);
+  EXPECT_EQ(c.in_flight, 0u);
+  EXPECT_TRUE(c.balanced());
+  ASSERT_EQ(seen.size(), n);
+  for (const auto& [id, count] : seen) EXPECT_EQ(count, 1) << "id " << id;
+}
+
+TEST(OpenLoopSourceTest, LateResponseIsNoOpEvenWhenItsSlotIsReused) {
+  sim::Engine engine;
+  OpenLoopConfig cfg = source_cfg(1e6, 400.0);
+  cfg.max_in_flight = 1000;
+  cfg.queue_depth = 0;
+  cfg.request_timeout = sim::from_us(5.0);
+  HeldSink sink;
+  OpenLoopSource src(engine, cfg, sink.fn());
+  src.start();
+  // Run until request 64 has just been dispatched: request 0 timed out
+  // long ago, and with at most a handful of requests in flight the ring
+  // kept its 64 initial slots, so id 64 now lives in id 0's slot.
+  while (sink.held.size() < 65) ASSERT_TRUE(engine.step());
+  const OpenLoopCounters before = src.counters();
+  EXPECT_GT(before.failed, 0u);
+  EXPECT_GT(before.in_flight, 0u);
+  sink.held[0](engine.now(), RequestOutcome::kCompleted);  // late response
+  const OpenLoopCounters& after = src.counters();
+  EXPECT_EQ(after.completed, before.completed);
+  EXPECT_EQ(after.failed, before.failed);
+  EXPECT_EQ(after.in_flight, before.in_flight)
+      << "a late response must not finish the request sharing its slot";
+  engine.run();
+  EXPECT_EQ(src.counters().in_flight, 0u);
+  EXPECT_EQ(src.counters().failed, sink.held.size());
+  EXPECT_TRUE(src.counters().balanced());
+}
+
+TEST(OpenLoopSourceTest, RingGrowsPastItsInitialSize) {
+  sim::Engine engine;
+  OpenLoopConfig cfg = source_cfg(1e6, 600.0);
+  cfg.max_in_flight = 100000;
+  cfg.queue_depth = 0;
+  HeldSink sink;
+  OpenLoopSource src(engine, cfg, sink.fn());
+  src.start();
+  engine.run();
+  const std::size_t n = sink.held.size();
+  ASSERT_GT(n, 300u) << "the span must outgrow the initial ring";
+  // Request 0 stays unanswered while every other one finishes, so the
+  // ring spans all n ids at once; then the oldest finishes last.
+  sim::Time t = engine.now();
+  for (std::size_t i = 1; i < n; ++i) {
+    sink.held[i](++t, i % 3 == 0 ? RequestOutcome::kRejected
+                                 : RequestOutcome::kCompleted);
+    ASSERT_EQ(src.counters().in_flight, n - i);
+  }
+  sink.held[0](++t, RequestOutcome::kCompleted);
+  const OpenLoopCounters& c = src.counters();
+  EXPECT_EQ(c.in_flight, 0u);
+  EXPECT_EQ(c.rejected, (n - 1) / 3);
+  EXPECT_EQ(c.completed + c.rejected, n);
   EXPECT_TRUE(c.balanced());
 }
 
