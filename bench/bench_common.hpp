@@ -19,9 +19,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
+#include "core/serving.hpp"
+#include "scenario/json.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/sweep.hpp"
 #include "workloads/graph500/graph500.hpp"
@@ -91,8 +94,8 @@ inline std::string csv_path(const std::string& file) {
 //   $TFSIM_SCENARIO (explicit file override),
 //   $TFSIM_SCENARIO_DIR/<name>.json,
 //   ./scenarios/<name>.json,
-//   <source tree>/scenarios/<name>.json (baked in at build time),
-//   the built-in programmatic spec of the same name.
+//   the built-in of the same name (scenario::builtin: the source tree's
+//   scenarios/<name>.json).
 
 inline bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
@@ -120,12 +123,6 @@ inline scenario::ScenarioSpec load_scenario(const std::string& name_or_path) {
     if (file_exists("scenarios/" + file)) {
       return scenario::load_file("scenarios/" + file);
     }
-#ifdef TFSIM_SCENARIO_SOURCE_DIR
-    if (file_exists(std::string(TFSIM_SCENARIO_SOURCE_DIR) + "/" + file)) {
-      return scenario::load_file(std::string(TFSIM_SCENARIO_SOURCE_DIR) + "/" +
-                                 file);
-    }
-#endif
     if (auto spec = scenario::builtin(name_or_path)) return *spec;
     std::fprintf(stderr, "error: unknown scenario \"%s\"\n",
                  name_or_path.c_str());
@@ -207,6 +204,85 @@ inline void echo_scenario(const scenario::ScenarioSpec& spec,
   std::ofstream out(path);
   out << scenario::resolved_json(spec);
   std::printf("resolved scenario -> %s\n", path.c_str());
+}
+
+// --- BENCH_*.json -----------------------------------------------------------
+//
+// Every bench report is one scenario::Json document, {"context": {...},
+// "benchmarks": [{"name": ..., <metrics>}, ...]}, so scenario and tenant
+// names are escaped like any other JSON string.
+
+/// One numeric field of a BENCH_*.json object, from any arithmetic value.
+struct Metric {
+  template <typename T>
+  Metric(const char* k, T v) : key(k), value(static_cast<double>(v)) {}
+  const char* key;
+  double value;
+};
+
+/// Append `metrics`, in order, to the object `obj`.
+inline void add_metrics(scenario::Json& obj,
+                        std::initializer_list<Metric> metrics) {
+  for (const Metric& m : metrics) {
+    obj.set(m.key, scenario::Json::number(m.value));
+  }
+}
+
+/// One "benchmarks" row.
+inline scenario::Json bench_row(const std::string& name,
+                                std::initializer_list<Metric> metrics) {
+  scenario::Json row = scenario::Json::object();
+  row.set("name", scenario::Json::string(name));
+  add_metrics(row, metrics);
+  return row;
+}
+
+/// The "context" object: the bench, its scenario and run-wide values.
+inline scenario::Json bench_context(const char* bench,
+                                    const std::string& scenario_name,
+                                    std::initializer_list<Metric> metrics) {
+  scenario::Json context = scenario::Json::object();
+  context.set("bench", scenario::Json::string(bench));
+  context.set("scenario", scenario::Json::string(scenario_name));
+  add_metrics(context, metrics);
+  return context;
+}
+
+/// A 64-bit digest as a decimal string (a JSON number would round it).
+inline scenario::Json json_digest(std::uint64_t d) {
+  return scenario::Json::string(std::to_string(d));
+}
+
+/// The totals row of one serving run, shared by serving_slo and chaos_mttr.
+inline scenario::Json serving_totals(const std::string& name,
+                                     const core::ServingReport& r) {
+  return bench_row(
+      name, {{"offered", r.totals.offered}, {"completed", r.totals.completed},
+             {"shed", r.totals.shed}, {"rejected", r.totals.rejected},
+             {"failed", r.totals.failed}, {"failovers", r.failovers},
+             {"restripes", r.restripes}, {"rejoins", r.rejoins},
+             {"gray_inflated", r.gray_inflated},
+             {"chaos_drops", r.switch_chaos_drops},
+             {"windows_met", r.windows_met}, {"windows", r.windows.size()},
+             {"p50_us", r.overall.p50()}, {"p99_us", r.overall.p99()},
+             {"p999_us", r.overall.p999()}});
+}
+
+/// Write {"context": context, "benchmarks": rows} to csv_path(file); exits
+/// 1 when the file cannot be written.
+inline void write_bench_json(const std::string& file, scenario::Json context,
+                             scenario::Json rows) {
+  scenario::Json doc = scenario::Json::object();
+  doc.set("context", std::move(context));
+  doc.set("benchmarks", std::move(rows));
+  const std::string path = csv_path(file);
+  std::ofstream out(path);
+  out << doc.dump() << "\n";
+  if (!out.flush()) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::printf("bench JSON -> %s\n", path.c_str());
 }
 
 /// Run one independent simulation per element of `inputs` across

@@ -33,7 +33,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -93,53 +92,34 @@ EventScore score_event(const scenario::ChaosWindow& ev,
   return s;
 }
 
-void write_bench_json(const std::string& path,
-                      const scenario::ScenarioSpec& spec,
+void write_bench_json(const scenario::ScenarioSpec& spec,
                       const core::ServingReport& on,
                       const core::ServingReport& off,
                       const std::vector<EventScore>& on_scores,
                       const std::vector<EventScore>& off_scores) {
-  std::ofstream out(path);
-  out << "{\n  \"context\": {\"bench\": \"chaos_mttr\", \"scenario\": \""
-      << spec.name << "\", \"duration_us\": " << spec.traffic.duration_us
-      << ", \"pdes_threads\": " << spec.pdes.threads
-      << ", \"digest_detector\": \""
-      << on.digest << "\", \"digest_baseline\": \"" << off.digest
-      << "\"},\n  \"benchmarks\": [\n";
-  const auto totals = [&out](const char* mode, const core::ServingReport& r) {
-    out << "    {\"name\": \"chaos/" << mode
-        << "/totals\", \"offered\": " << r.totals.offered
-        << ", \"completed\": " << r.totals.completed
-        << ", \"shed\": " << r.totals.shed
-        << ", \"rejected\": " << r.totals.rejected
-        << ", \"failed\": " << r.totals.failed
-        << ", \"failovers\": " << r.failovers
-        << ", \"restripes\": " << r.restripes << ", \"rejoins\": " << r.rejoins
-        << ", \"gray_inflated\": " << r.gray_inflated
-        << ", \"chaos_drops\": " << r.switch_chaos_drops
-        << ", \"windows_met\": " << r.windows_met
-        << ", \"windows\": " << r.windows.size()
-        << ", \"p99_us\": " << r.overall.p99() << "},\n";
-  };
-  totals("detector", on);
-  totals("baseline", off);
-  const auto events = [&out](const char* mode,
-                             const std::vector<EventScore>& scores,
-                             bool last_block) {
-    for (std::size_t i = 0; i < scores.size(); ++i) {
-      const EventScore& s = scores[i];
-      out << "    {\"name\": \"chaos/" << mode << "/" << s.label
-          << "\", \"start_us\": " << s.start_us
-          << ", \"degraded_us\": " << s.degraded_us
-          << ", \"ttr_us\": " << s.ttr_us << ", \"blast\": " << s.blast
-          << ", \"recovered\": " << (s.recovered ? 1 : 0) << "}"
-          << (last_block && i + 1 == scores.size() ? "\n" : ",\n");
+  scenario::Json context = bench::bench_context(
+      "chaos_mttr", spec.name,
+      {{"duration_us", spec.traffic.duration_us},
+       {"pdes_threads", spec.pdes.threads}});
+  context.set("digest_detector", bench::json_digest(on.digest));
+  context.set("digest_baseline", bench::json_digest(off.digest));
+  scenario::Json rows = scenario::Json::array();
+  rows.push(bench::serving_totals("chaos/detector/totals", on));
+  rows.push(bench::serving_totals("chaos/baseline/totals", off));
+  const auto events = [&rows](const std::string& mode,
+                              const std::vector<EventScore>& scores) {
+    for (const EventScore& s : scores) {
+      rows.push(bench::bench_row(
+          "chaos/" + mode + "/" + s.label,
+          {{"start_us", s.start_us}, {"degraded_us", s.degraded_us},
+           {"ttr_us", s.ttr_us}, {"blast", s.blast},
+           {"recovered", s.recovered ? 1 : 0}}));
     }
   };
-  events("detector", on_scores, false);
-  events("baseline", off_scores, true);
-  out << "  ]\n}\n";
-  std::printf("bench JSON -> %s\n", path.c_str());
+  events("detector", on_scores);
+  events("baseline", off_scores);
+  bench::write_bench_json("BENCH_chaos.json", std::move(context),
+                          std::move(rows));
 }
 
 }  // namespace
@@ -286,8 +266,7 @@ int main(int argc, char** argv) {
       "the windowed p99 degradation stays bounded instead of riding out the "
       "full timeout cascade.");
 
-  write_bench_json(bench::csv_path("BENCH_chaos.json"), spec, on, off,
-                   on_scores, off_scores);
+  write_bench_json(spec, on, off, on_scores, off_scores);
   bench::echo_scenario(spec, "chaos_mttr.csv");
   return 0;
 }

@@ -32,8 +32,10 @@ struct CongestedProbe {
 /// the built-in trunk_contention scenario at `pairs` pairs, whose most-free
 /// placement gives borrower i its memory on lender i.
 inline CongestedProbe run_congested(int pairs) {
-  node::Cluster cluster(
-      scenario::shared_trunk(static_cast<std::uint32_t>(pairs)));
+  scenario::ScenarioSpec spec = *scenario::builtin("trunk_contention");
+  spec.set_borrower_count(static_cast<std::uint32_t>(pairs));
+  spec.set_lender_count(static_cast<std::uint32_t>(pairs));
+  node::Cluster cluster(spec);
   if (!cluster.attach_remote()) {
     throw std::runtime_error("congestion probe: remote memory did not attach");
   }

@@ -23,7 +23,6 @@
 // artifact), alongside the resolved scenario echo.
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,33 +41,32 @@ namespace {
 
 const std::vector<std::uint32_t> kDefaultBorrowers = {16, 32, 64, 128, 256};
 
-void write_bench_json(const std::string& path, const std::string& scenario,
-                      double window_us,
+void write_bench_json(const std::string& scenario_name, double window_us,
                       const std::vector<std::uint32_t>& axis,
                       const std::vector<std::pair<PointResult, PointResult>>&
                           rows) {
-  std::ofstream out(path);
-  out << "{\n  \"context\": {\"bench\": \"fabric_contention\", \"scenario\": \""
-      << scenario << "\", \"window_us\": " << window_us
-      << ", \"pdes_threads\": 1},\n  \"benchmarks\": [\n";
+  scenario::Json out = scenario::Json::array();
   const auto emit = [&out](const char* fabric, std::uint32_t b,
-                           const PointResult& r, bool last) {
-    out << "    {\"name\": \"fabric/" << fabric << "/B=" << b
-        << "\", \"completed\": " << r.completed
-        << ", \"rtt_mean_us\": " << r.rtt_mean_us
-        << ", \"rtt_p50_us\": " << r.rtt_p50_us
-        << ", \"rtt_p99_us\": " << r.rtt_p99_us
-        << ", \"peak_queue_bytes\": " << r.peak_queue_bytes
-        << ", \"mean_queue_bytes\": " << r.mean_queue_bytes
-        << ", \"switch_drops\": " << r.switch_drops << ", \"digest\": \""
-        << r.digest << "\"}" << (last ? "\n" : ",\n");
+                           const PointResult& r) {
+    scenario::Json row = bench::bench_row(
+        std::string("fabric/") + fabric + "/B=" + std::to_string(b),
+        {{"completed", r.completed}, {"rtt_mean_us", r.rtt_mean_us},
+         {"rtt_p50_us", r.rtt_p50_us}, {"rtt_p99_us", r.rtt_p99_us},
+         {"peak_queue_bytes", r.peak_queue_bytes},
+         {"mean_queue_bytes", r.mean_queue_bytes},
+         {"switch_drops", r.switch_drops}});
+    row.set("digest", bench::json_digest(r.digest));
+    out.push(std::move(row));
   };
   for (std::size_t i = 0; i < axis.size(); ++i) {
-    emit("leafspine", axis[i], rows[i].first, false);
-    emit("dumbbell", axis[i], rows[i].second, i + 1 == axis.size());
+    emit("leafspine", axis[i], rows[i].first);
+    emit("dumbbell", axis[i], rows[i].second);
   }
-  out << "  ]\n}\n";
-  std::printf("bench JSON -> %s\n", path.c_str());
+  bench::write_bench_json(
+      "BENCH_fabric.json",
+      bench::bench_context("fabric_contention", scenario_name,
+                           {{"window_us", window_us}, {"pdes_threads", 1}}),
+      std::move(out));
 }
 
 }  // namespace
@@ -133,8 +131,7 @@ int main(int argc, char** argv) {
       "growth at low B); ECMP striping across the spine uplinks moves the "
       "cliff out by ~the oversubscription ratio.");
 
-  write_bench_json(bench::csv_path("BENCH_fabric.json"), spec.name, window_us,
-                   axis, rows);
+  write_bench_json(spec.name, window_us, axis, rows);
   spec.sweep.borrowers = axis;
   bench::echo_scenario(spec, "fabric_contention.csv");
   return 0;

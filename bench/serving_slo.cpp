@@ -24,7 +24,6 @@
 // artifact), alongside the resolved scenario echo.
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "bench_common.hpp"
@@ -39,47 +38,33 @@ using namespace tfsim;
 
 namespace {
 
-void write_bench_json(const std::string& path,
-                      const scenario::ScenarioSpec& spec,
+void write_bench_json(const scenario::ScenarioSpec& spec,
                       const core::ServingReport& r) {
-  std::ofstream out(path);
-  out << "{\n  \"context\": {\"bench\": \"serving_slo\", \"scenario\": \""
-      << spec.name << "\", \"duration_us\": " << spec.traffic.duration_us
-      << ", \"pdes_threads\": " << spec.pdes.threads << ", \"digest\": \""
-      << r.digest
-      << "\"},\n  \"benchmarks\": [\n";
-  out << "    {\"name\": \"serving/totals\", \"offered\": " << r.totals.offered
-      << ", \"completed\": " << r.totals.completed
-      << ", \"shed\": " << r.totals.shed
-      << ", \"rejected\": " << r.totals.rejected
-      << ", \"failed\": " << r.totals.failed
-      << ", \"failovers\": " << r.failovers
-      << ", \"windows_met\": " << r.windows_met
-      << ", \"windows\": " << r.windows.size()
-      << ", \"p50_us\": " << r.overall.p50()
-      << ", \"p99_us\": " << r.overall.p99()
-      << ", \"p999_us\": " << r.overall.p999() << "},\n";
+  scenario::Json context = bench::bench_context(
+      "serving_slo", spec.name,
+      {{"duration_us", spec.traffic.duration_us},
+       {"pdes_threads", spec.pdes.threads}});
+  context.set("digest", bench::json_digest(r.digest));
+  scenario::Json rows = scenario::Json::array();
+  rows.push(bench::serving_totals("serving/totals", r));
   for (const auto& t : r.tenants) {
-    out << "    {\"name\": \"serving/tenant/" << t.name
-        << "\", \"weight\": " << t.weight
-        << ", \"offered\": " << t.totals.offered
-        << ", \"completed\": " << t.totals.completed
-        << ", \"shed\": " << t.totals.shed
-        << ", \"rejected\": " << t.totals.rejected
-        << ", \"failed\": " << t.totals.failed
-        << ", \"failovers\": " << t.failovers << "},\n";
+    rows.push(bench::bench_row(
+        "serving/tenant/" + t.name,
+        {{"weight", t.weight}, {"offered", t.totals.offered},
+         {"completed", t.totals.completed}, {"shed", t.totals.shed},
+         {"rejected", t.totals.rejected}, {"failed", t.totals.failed},
+         {"failovers", t.failovers}}));
   }
-  for (std::size_t i = 0; i < r.windows.size(); ++i) {
-    const core::WindowStats& w = r.windows[i];
-    out << "    {\"name\": \"serving/window/" << sim::to_us(w.start)
-        << "\", \"completed\": " << w.completed << ", \"shed\": " << w.shed
-        << ", \"rejected\": " << w.rejected << ", \"failed\": " << w.failed
-        << ", \"p50_us\": " << w.p50_us << ", \"p99_us\": " << w.p99_us
-        << ", \"p999_us\": " << w.p999_us << ", \"met\": " << (w.met ? 1 : 0)
-        << "}" << (i + 1 == r.windows.size() ? "\n" : ",\n");
+  for (const core::WindowStats& w : r.windows) {
+    rows.push(bench::bench_row(
+        "serving/window/" + scenario::Json::number(sim::to_us(w.start)).dump(),
+        {{"completed", w.completed}, {"shed", w.shed},
+         {"rejected", w.rejected}, {"failed", w.failed},
+         {"p50_us", w.p50_us}, {"p99_us", w.p99_us}, {"p999_us", w.p999_us},
+         {"met", w.met ? 1 : 0}}));
   }
-  out << "  ]\n}\n";
-  std::printf("bench JSON -> %s\n", path.c_str());
+  bench::write_bench_json("BENCH_serving.json", std::move(context),
+                          std::move(rows));
 }
 
 }  // namespace
@@ -163,7 +148,7 @@ int main(int argc, char** argv) {
       "onto the surviving lender; the QoS gate holds the weight ratio and "
       "windowed p99 recovers within a few windows instead of diverging.");
 
-  write_bench_json(bench::csv_path("BENCH_serving.json"), spec, r);
+  write_bench_json(spec, r);
   bench::echo_scenario(spec, "serving_slo.csv");
   return 0;
 }

@@ -1,9 +1,7 @@
 #include "axi/testbench.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
-#include <string_view>
 
 namespace tfsim::axi {
 
@@ -15,20 +13,6 @@ const char* to_string(SettleMode mode) {
       return "activity";
   }
   return "unknown";
-}
-
-SettleMode default_settle_mode() {
-  static const SettleMode mode = [] {
-    const char* env = std::getenv("TFSIM_SETTLE");
-    if (env == nullptr || *env == '\0') return SettleMode::kActivity;
-    const std::string_view v(env);
-    if (v == "naive") return SettleMode::kNaive;
-    if (v == "activity") return SettleMode::kActivity;
-    throw std::invalid_argument(
-        "TFSIM_SETTLE=\"" + std::string(v) +
-        "\" is not a settle mode (expected \"naive\" or \"activity\")");
-  }();
-  return mode;
 }
 
 Wire& Testbench::wire(std::string label) {

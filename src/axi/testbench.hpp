@@ -17,8 +17,8 @@
 //    re-evaluated every pass, every cycle stepped).  Kept as the reference
 //    implementation: the golden-trace differential suite
 //    (tests/axi/sched_equiv_test.cpp, tests/property/axi_sched_fuzz_test.cpp)
-//    proves both modes produce byte-identical per-cycle wire traces.
-//    TFSIM_SETTLE=naive forces it globally as an escape hatch.
+//    proves both modes produce byte-identical per-cycle wire traces.  A
+//    bench selects it through the constructor.
 //
 // Every wire a testbench creates is bound to a WireChecker, and every module
 // it adds is handed the testbench's ViolationSink, so the AXI4-Stream
@@ -49,14 +49,10 @@ enum class SettleMode {
 
 const char* to_string(SettleMode mode);
 
-/// Resolves $TFSIM_SETTLE ("naive" or "activity"); defaults to kActivity.
-/// A set-but-malformed value is a configuration bug: fail loudly.
-SettleMode default_settle_mode();
-
 class Testbench : public ModuleScheduler {
  public:
   explicit Testbench(CheckMode mode = CheckMode::kStrict,
-                     SettleMode settle = default_settle_mode()) {
+                     SettleMode settle = SettleMode::kActivity) {
     sink_.set_mode(mode);
     settle_mode_ = settle;
   }

@@ -251,13 +251,7 @@ ServingReport run_serving(node::Cluster& cluster) {
         st->failover.push_back(lender_idx_by_registry.at(rid));
       }
       if (spec.detector.enabled) {
-        ctrl::HealthConfig hc;
-        hc.alpha = spec.detector.alpha;
-        hc.latency_threshold = spec.detector.latency_threshold;
-        hc.timeout_weight = spec.detector.timeout_weight;
-        hc.warmup = spec.detector.warmup;
-        hc.confirm = spec.detector.confirm;
-        st->detector.emplace(hc);
+        st->detector.emplace(spec.detector.health);
       }
       states.push_back(std::move(st));
     }

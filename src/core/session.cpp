@@ -23,24 +23,6 @@ workloads::StreamResult Session::run_stream(const workloads::StreamConfig& cfg) 
   return stream.run();
 }
 
-workloads::g500::BfsResult Session::run_bfs(
-    const workloads::g500::Graph500Config& cfg,
-    workloads::g500::CsrGraph graph, std::uint32_t root) {
-  workloads::g500::Graph500Config c = cfg;
-  c.placement = placement_;
-  workloads::g500::Graph500 g(cluster_.borrower(), c, std::move(graph));
-  return g.run_bfs(root);
-}
-
-workloads::g500::SsspResult Session::run_sssp(
-    const workloads::g500::Graph500Config& cfg,
-    workloads::g500::CsrGraph graph, std::uint32_t root) {
-  workloads::g500::Graph500Config c = cfg;
-  c.placement = placement_;
-  workloads::g500::Graph500 g(cluster_.borrower(), c, std::move(graph));
-  return g.run_sssp(root);
-}
-
 workloads::g500::JobResult Session::run_bfs_job(
     const workloads::g500::Graph500Config& cfg,
     const workloads::g500::EdgeList& edges, std::uint32_t root) {

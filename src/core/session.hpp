@@ -46,15 +46,6 @@ class Session {
   /// Run STREAM with the session placement.
   workloads::StreamResult run_stream(const workloads::StreamConfig& cfg);
 
-  /// Run Graph500 BFS/SSSP kernels on a pre-built graph (copied per
-  /// session).
-  workloads::g500::BfsResult run_bfs(const workloads::g500::Graph500Config& cfg,
-                                     workloads::g500::CsrGraph graph,
-                                     std::uint32_t root);
-  workloads::g500::SsspResult run_sssp(
-      const workloads::g500::Graph500Config& cfg,
-      workloads::g500::CsrGraph graph, std::uint32_t root);
-
   /// Graph500 job-level runs (kernel 1 construction + search kernel): the
   /// "job completion time" metric of Table I / Fig. 5.  The edge list is
   /// generated once by the caller and copied per session.

@@ -355,9 +355,11 @@ bool Cluster::attach_remote() {
         // Last chunk absorbs the division remainder.
         const std::uint64_t bytes =
             k + 1 == res.chunks ? size - chunk * (res.chunks - 1) : chunk;
+        // Appended piecewise: gcc 12 at -O3 flags `"@" + std::string` with
+        // a false -Wrestrict.
         std::string name = res.name;
-        if (targets.size() > 1) name += "@" + b->name();
-        if (res.chunks > 1) name += "#" + std::to_string(k);
+        if (targets.size() > 1) name.append(1, '@').append(b->name());
+        if (res.chunks > 1) name.append(1, '#').append(std::to_string(k));
         const auto reservation =
             cp_->reserve(registry_id(*b), bytes, name);
         if (!reservation.has_value()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -508,12 +509,18 @@ const Table<DetectorSpec>& detector_table() {
       flag<C>(
           "enabled", [](const C& d) { return d.enabled; },
           [](C& d, bool b) { d.enabled = b; }),
-      number<C>("alpha", &C::alpha, {0, 1, true}),
-      number<C>("latency_threshold", &C::latency_threshold,
+      number<C>("alpha", [](auto& d) -> auto& { return d.health.alpha; },
+                {0, 1, true}),
+      number<C>("latency_threshold",
+                [](auto& d) -> auto& { return d.health.latency_threshold; },
                 {1, kMaxFactor, true}),
-      number<C>("timeout_weight", &C::timeout_weight, {0, kMaxFactor}),
-      integer<C>("warmup", &C::warmup, 1),
-      integer<C>("confirm", &C::confirm, 1),
+      number<C>("timeout_weight",
+                [](auto& d) -> auto& { return d.health.timeout_weight; },
+                {0, kMaxFactor}),
+      integer<C>("warmup", [](auto& d) -> auto& { return d.health.warmup; },
+                 1),
+      integer<C>("confirm", [](auto& d) -> auto& { return d.health.confirm; },
+                 1),
       integer<C>("probe_interval", &C::probe_interval, 1),
       number<C>("rejoin_margin", &C::rejoin_margin, {1, kMaxFactor}),
       integer<C>("rejoin_confirm", &C::rejoin_confirm, 1),
@@ -662,22 +669,6 @@ void validate(ScenarioSpec& spec) {
   const double lookahead_ns = spec.pdes.lookahead_ns;
   need(lookahead_ns == 0.0 || sim::from_ns(lookahead_ns) > 0,
        "pdes.lookahead_ns", "must be 0 (derived) or at least 0.001");
-}
-
-/// The built-ins' node declarations: `borrowers` borrowers with the FPGA
-/// NIC, then `lenders` lenders without it.
-std::vector<NodeDecl> borrower_and_lender(std::uint32_t borrowers,
-                                          std::uint32_t lenders) {
-  NodeDecl borrower;
-  borrower.name = "borrower";
-  borrower.role = Role::kBorrower;
-  borrower.count = borrowers;
-  borrower.with_nic = true;
-  NodeDecl lender;
-  lender.name = "lender";
-  lender.count = lenders;
-  lender.with_nic = false;
-  return {borrower, lender};
 }
 
 }  // namespace
@@ -872,172 +863,33 @@ std::vector<FieldInfo> schema() {
   return out;
 }
 
+namespace {
+
+/// The checked-in file of the built-in `stem`.  The build bakes the source
+/// tree's scenarios/ directory in; a build that compiles this file without
+/// it (perfbench's) finds the directory next to src/.
+std::string builtin_path(const std::string& stem) {
+#ifdef TFSIM_BUILTIN_SCENARIO_DIR
+  const std::filesystem::path dir = TFSIM_BUILTIN_SCENARIO_DIR;
+#else
+  const std::filesystem::path src =
+      std::filesystem::path(__FILE__).parent_path().parent_path();
+  const std::filesystem::path dir = src.parent_path() / "scenarios";
+#endif
+  return (dir / (stem + ".json")).string();
+}
+
+}  // namespace
+
 ScenarioSpec paper_two_node() {
-  ScenarioSpec spec;
-  spec.name = "paper-twonode";
-  spec.description =
-      "The paper's two-node ThymesisFlow prototype: one borrower, one "
-      "lender, 100 Gb/s point-to-point cable, 16 GiB borrowed";
-  spec.nodes = borrower_and_lender(1, 1);
-  spec.reservations.push_back(ReservationSpec{});
-  spec.workloads.push_back(WorkloadSpec{});
-  return spec;
+  return load_file(builtin_path("paper_twonode"));
 }
 
-ScenarioSpec pooling_1xN(std::uint32_t lenders) {
-  ScenarioSpec spec;
-  spec.name = "pooling-1xN";
-  spec.description =
-      "One borrower pooling remote memory striped across N equal lenders "
-      "(most-free placement round-robins the chunks)";
-  spec.nodes = borrower_and_lender(1, lenders);
-  spec.policy = "most-free";
-  ReservationSpec res;
-  res.size_gib = 16;
-  res.chunks = lenders;
-  res.name = "pooled";
-  spec.reservations.push_back(res);
-  spec.workloads.push_back(WorkloadSpec{"flow", "remote"});
-  spec.sweep.lenders = {1, 2, 4, 8};
-  spec.sweep.periods = {1, 10, 100};
-  return spec;
-}
-
-ScenarioSpec shared_trunk(std::uint32_t borrowers) {
-  ScenarioSpec spec;
-  spec.name = "shared-trunk";
-  spec.description =
-      "M borrower-lender pairs on a two-switch dumbbell sharing one trunk "
-      "-- M:1 oversubscription, the congestion the paper emulates";
-  spec.nodes = borrower_and_lender(borrowers, borrowers);
-  spec.topology.kind = TopologyKind::kDumbbell;
-  spec.policy = "most-free";
-  ReservationSpec res;
-  res.size_gib = 4;
-  res.name = "trunk-share";
-  spec.reservations.push_back(res);
-  spec.workloads.push_back(WorkloadSpec{"flow", "remote"});
-  spec.sweep.borrowers = {1, 2, 4, 8};
-  spec.sweep.periods = {1};
-  return spec;
-}
-
-ScenarioSpec leafspine_rack(std::uint32_t borrowers) {
-  ScenarioSpec spec;
-  spec.name = "leafspine-rack";
-  spec.description =
-      "M borrower-lender pairs across a 2-tier leaf/spine fabric; partners "
-      "sit on different leaves so every access ECMP-stripes over the spines "
-      "-- the contention cliff moves out by the spine count vs one trunk";
-  spec.nodes = borrower_and_lender(borrowers, borrowers);
-  spec.topology.kind = TopologyKind::kLeafSpine;
-  spec.topology.leaves = 8;
-  spec.topology.spines = 4;
-  spec.topology.uplink = spec.topology.link;
-  spec.policy = "most-free";
-  ReservationSpec res;
-  res.size_gib = 4;
-  res.name = "rack-share";
-  spec.reservations.push_back(res);
-  spec.workloads.push_back(WorkloadSpec{"flow", "remote"});
-  spec.sweep.borrowers = {16, 32, 64, 128, 256};
-  spec.sweep.periods = {1};
-  spec.pdes.threads = 1;
-  return spec;
-}
-
-ScenarioSpec serving_diurnal() {
-  ScenarioSpec spec;
-  spec.name = "serving-diurnal";
-  spec.description =
-      "Redis-style serving tier on the 8x4 leaf/spine rack: two tenants "
-      "(3:1 QoS weights) offer a diurnal open-loop load against p50/p99/p999 "
-      "SLOs; lender0 is killed at mid-cycle, forcing both tenants onto the "
-      "survivor where credit-based QoS arbitrates the crunch";
-  spec.nodes = borrower_and_lender(8, 2);
-  spec.topology.kind = TopologyKind::kLeafSpine;
-  spec.topology.leaves = 8;
-  spec.topology.spines = 4;
-  spec.policy = "slo-aware";
-  spec.workloads.push_back(WorkloadSpec{"openloop", "remote"});
-  spec.pdes.threads = 1;
-
-  spec.traffic.process = "diurnal";
-  spec.traffic.rate_rps = 1.2e6;
-  spec.traffic.clients = 2'000'000;
-  spec.traffic.seed = 20260808;
-  spec.traffic.duration_us = 20'000.0;   // one diurnal cycle
-  spec.traffic.diurnal_period_us = 20'000.0;
-  spec.traffic.diurnal_amplitude = 0.6;
-  spec.traffic.timeout_us = 200.0;
-  spec.traffic.lender_capacity_rps = 1.5e6;
-  spec.traffic.qos_window_us = 100.0;
-  spec.traffic.tenants.push_back(TrafficTenantSpec{"frontend", 3, 0.75});
-  spec.traffic.tenants.push_back(TrafficTenantSpec{"batch", 1, 0.25});
-
-  spec.slo.p50_us = 10.0;
-  spec.slo.p99_us = 40.0;
-  spec.slo.p999_us = 120.0;
-  spec.slo.window_us = 1000.0;
-
-  spec.faults.kill_lender = "lender0";
-  spec.faults.kill_at_us = 10'000.0;  // the diurnal peak
-  return spec;
-}
-
-ScenarioSpec chaos_rack() {
-  ScenarioSpec spec = serving_diurnal();
-  spec.name = "chaos-rack";
-  spec.description =
-      "Gray-failure chaos drill on the serving rack: lender0 turns gray (6x "
-      "service inflation) at the ramp, a leaf0->spine1 port browns out, and "
-      "spine2 is killed outright; the online health detector re-stripes and "
-      "migrates sources before the timeout budget burns down";
-  // Steady offered load (no diurnal swing) so every p99 excursion in the
-  // bench is attributable to a chaos window, not the arrival process.  The
-  // rate is sized so the gray lender stays *below* its inflated capacity:
-  // a true gray failure serves every request, just slowly -- queueing
-  // pushes p99 far past target while staying under the 200us timeout, so
-  // the timeout-only baseline never reacts and rides out the whole window.
-  spec.traffic.process = "poisson";
-  spec.traffic.rate_rps = 2.0e5;
-  spec.traffic.duration_us = 16'000.0;
-  spec.traffic.seed = 20260808;
-  spec.faults.kill_lender.clear();  // chaos timeline drives all failures
-  spec.faults.kill_at_us = 0.0;
-
-  // The bench scores each chaos event by how many SLO windows stay
-  // p99-degraded; 500us windows give ~100 outcomes per window at this rate.
-  // The p99 bar sits between the healthy plateau (~6us round-trips) and the
-  // gray lender's queueing plateau (~25-30us), so a window is degraded for
-  // exactly as long as traffic still rides the gray lender.
-  spec.slo.window_us = 500.0;
-  spec.slo.p99_us = 20.0;
-
-  // 6x inflation: gray round-trips run ~5x the healthy baseline -- far
-  // past latency_threshold (sick in a handful of completions) and past
-  // rejoin_margin even when the lender idles under probe-only load, yet
-  // comfortably inside the request timeout.
-  spec.chaos.seed = 7;
-  spec.chaos.events = {
-      {2'000.0, ChaosKind::kGrayLender, "lender0", 6.0, 0.0},
-      {6'000.0, ChaosKind::kRecover, "lender0", 0.0, 0.0},
-      {8'000.0, ChaosKind::kBrownoutPort, "leaf0:spine1", 0.25, 2'000.0},
-      {11'000.0, ChaosKind::kKillSwitch, "spine2", 0.0, 0.0},
-      {14'000.0, ChaosKind::kRecover, "spine2", 0.0, 0.0},
-  };
-  spec.detector.enabled = true;
-  return spec;
-}
-
-std::optional<ScenarioSpec> builtin(const std::string& name) {
-  if (name == "paper_twonode") return paper_two_node();
-  if (name == "pooling_1xN") return pooling_1xN();
-  if (name == "trunk_contention") return shared_trunk();
-  if (name == "leafspine_rack128") return leafspine_rack();
-  if (name == "serving_diurnal") return serving_diurnal();
-  if (name == "chaos_rack") return chaos_rack();
-  return std::nullopt;
+std::optional<ScenarioSpec> builtin(const std::string& stem) {
+  if (stem.empty() || stem.find('/') != std::string::npos) return std::nullopt;
+  const std::string path = builtin_path(stem);
+  if (!std::filesystem::is_regular_file(path)) return std::nullopt;
+  return load_file(path);
 }
 
 }  // namespace tfsim::scenario

@@ -5,11 +5,11 @@
 // them (direct full-mesh links or a two-switch dumbbell with a shared
 // trunk), the delay injector, the remote-memory reservations (with the
 // control-plane placement policy, and optional striping across lenders),
-// workload bindings, and sweep axes.  Specs are buildable programmatically
-// (the builders below) or loadable from a small JSON file under
-// scenarios/ -- the same config-driven approach rack-scale simulators such
-// as DRackSim and CXL-ClusterSim use to cover many cluster shapes without
-// baked-in topologies.  node::Cluster turns a spec into a live testbed.
+// workload bindings, and sweep axes.  Specs are data: a small JSON file
+// under scenarios/ (the built-ins below are exactly those files) -- the
+// same config-driven approach rack-scale simulators such as DRackSim and
+// CXL-ClusterSim use to cover many cluster shapes without baked-in
+// topologies.  node::Cluster turns a spec into a live testbed.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "ctrl/health.hpp"
 #include "mem/dram.hpp"
 #include "net/fault.hpp"
 #include "net/latency_dist.hpp"
@@ -172,16 +173,14 @@ struct ChaosWindow {
 /// bench/chaos_mttr scores recovery per window.
 std::vector<ChaosWindow> resolve_chaos(const ChaosSpec& chaos);
 
-/// Online gray-failure detector settings (ctrl/health.hpp) for the serving
-/// loop.  Disabled by default: the baseline behavior is timeout-driven
-/// failover only, which is exactly what bench/chaos_mttr compares against.
+/// Online gray-failure detector settings for the serving loop: the
+/// detector's own knobs (ctrl::HealthConfig, written under its field names)
+/// plus the serving loop's probe-and-rejoin rule.  Disabled by default: the
+/// baseline behavior is timeout-driven failover only, which is exactly what
+/// bench/chaos_mttr compares against.
 struct DetectorSpec {
   bool enabled = false;
-  double alpha = 0.3;
-  double latency_threshold = 3.0;
-  double timeout_weight = 10.0;
-  std::uint32_t warmup = 16;
-  std::uint32_t confirm = 3;
+  ctrl::HealthConfig health;
   /// After migrating off a sick primary, every Nth dispatch probes it.
   std::uint32_t probe_interval = 16;
   /// A probe is "good" when it completes within rejoin_margin x the healthy
@@ -339,34 +338,20 @@ struct FieldInfo {
 std::vector<FieldInfo> schema();
 
 // --- built-in scenarios ----------------------------------------------------
+//
+// The built-ins are the checked-in files under scenarios/: each file is the
+// only declaration of its scenario.
 
-/// The paper's two-node ThymesisFlow prototype: AC922 nodes (512 GiB
-/// DRAM), a borrower-only NIC (129-entry window, PERIOD 1), one 100 Gb/s
-/// cable and 16 GiB borrowed.  core::SessionConfig's default testbed.
+/// The paper's two-node ThymesisFlow prototype (scenarios/paper_twonode.json):
+/// AC922 nodes (512 GiB DRAM), a borrower-only NIC (129-entry window, PERIOD
+/// 1), one 100 Gb/s cable and 16 GiB borrowed.  core::SessionConfig's
+/// default testbed.  Throws std::runtime_error naming the path when the file
+/// cannot be read.
 ScenarioSpec paper_two_node();
-/// 1 borrower pooling memory from `lenders` equal lenders, reservation
-/// striped across all of them (most-free placement).
-ScenarioSpec pooling_1xN(std::uint32_t lenders = 4);
-/// `borrowers` borrower-lender pairs sharing one dumbbell trunk.
-ScenarioSpec shared_trunk(std::uint32_t borrowers = 4);
-/// `borrowers` borrower-lender pairs spread over a rack-scale leaf/spine
-/// fabric (8 leaves x 4 spines at the default 128 pairs); partners land on
-/// different leaves so every access crosses a spine.
-ScenarioSpec leafspine_rack(std::uint32_t borrowers = 128);
-/// Redis-style serving tier on the 8x4 rack: two tenants (3:1 QoS weights)
-/// offering a diurnal open-loop load against declared p50/p99/p999 SLOs,
-/// with a lender killed mid-cycle to exercise reactive re-placement.
-ScenarioSpec serving_diurnal();
-/// Gray-failure chaos drill on the serving rack: the diurnal serving tier
-/// with a scripted timeline -- a gray lender (8x service inflation), a
-/// spine-port brownout, and a killed spine -- and the online detector
-/// enabled so sources re-stripe/migrate before timeouts exhaust the retry
-/// budget.  bench/chaos_mttr runs it with the detector on and off.
-ScenarioSpec chaos_rack();
 
-/// Look up a built-in by its scenario file stem ("paper_twonode",
-/// "pooling_1xN", "trunk_contention", "leafspine_rack128"); nullopt when
-/// unknown.
-std::optional<ScenarioSpec> builtin(const std::string& name);
+/// The built-in scenarios/<stem>.json ("paper_twonode", "pooling_1xN",
+/// "trunk_contention", "leafspine_rack128", "serving_diurnal", ...);
+/// nullopt when no such file exists or `stem` names a path.
+std::optional<ScenarioSpec> builtin(const std::string& stem);
 
 }  // namespace tfsim::scenario

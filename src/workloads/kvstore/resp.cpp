@@ -4,22 +4,36 @@
 
 namespace tfsim::workloads::kv {
 
+namespace {
+/// One RESP line: `type`, `body`, CRLF.  Appended piecewise: gcc 12 at -O3
+/// flags `"x" + std::string` with a false -Wrestrict.
+std::string resp_line(char type, const std::string& body) {
+  std::string out(1, type);
+  out.append(body).append("\r\n");
+  return out;
+}
+}  // namespace
+
 std::string resp_encode_command(const std::vector<std::string>& parts) {
-  std::string out = "*" + std::to_string(parts.size()) + "\r\n";
-  for (const auto& p : parts) {
-    out += "$" + std::to_string(p.size()) + "\r\n" + p + "\r\n";
-  }
+  std::string out = resp_line('*', std::to_string(parts.size()));
+  for (const auto& p : parts) out.append(resp_encode_bulk(p));
   return out;
 }
 
-std::string resp_encode_simple(const std::string& s) { return "+" + s + "\r\n"; }
-std::string resp_encode_error(const std::string& s) { return "-" + s + "\r\n"; }
+std::string resp_encode_simple(const std::string& s) {
+  return resp_line('+', s);
+}
+std::string resp_encode_error(const std::string& s) {
+  return resp_line('-', s);
+}
 std::string resp_encode_bulk(const std::string& s) {
-  return "$" + std::to_string(s.size()) + "\r\n" + s + "\r\n";
+  std::string out = resp_line('$', std::to_string(s.size()));
+  out.append(s).append("\r\n");
+  return out;
 }
 std::string resp_encode_null() { return "$-1\r\n"; }
 std::string resp_encode_integer(std::int64_t v) {
-  return ":" + std::to_string(v) + "\r\n";
+  return resp_line(':', std::to_string(v));
 }
 
 namespace {

@@ -167,9 +167,11 @@ TEST(ServingControllerTest, RejectionAtCreditExhaustionIsDeterministic) {
     // Each tenant wants 70% of one lender: three fit (one per lender),
     // the fourth finds no lender with rate headroom anywhere.
     for (int i = 0; i < 5; ++i) {
-      admitted.push_back(
-          sc.admit_tenant(tenant("t" + std::to_string(i), 7e5), 0)
-              .has_value());
+      // Appended piecewise: gcc 12 at -O3 flags `"t" + std::to_string(i)`
+      // with a false -Wrestrict.
+      std::string name = "t";
+      name += std::to_string(i);
+      admitted.push_back(sc.admit_tenant(tenant(name, 7e5), 0).has_value());
     }
     return admitted;
   };

@@ -43,7 +43,11 @@ FabricRun run_fabric(QueuePolicy policy) {
   Network fabric;
   std::vector<NodeId> hosts;
   for (std::size_t i = 0; i < kHosts; ++i) {
-    hosts.push_back(fabric.add_node("h" + std::to_string(i)));
+    // Appended piecewise: gcc 12 at -O3 flags `"h" + std::to_string(i)`
+    // with a false -Wrestrict.
+    std::string name = "h";
+    name += std::to_string(i);
+    hosts.push_back(fabric.add_node(name));
   }
   LeafSpineConfig topo;
   topo.leaves = 2;

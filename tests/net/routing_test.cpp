@@ -23,6 +23,14 @@
 namespace tfsim::net {
 namespace {
 
+/// "<prefix><i>", appended piecewise: gcc 12 at -O3 flags
+/// `indexed("h", i)` with a false -Wrestrict.
+std::string indexed(const char* prefix, std::size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 LinkConfig gig_link(double bytes_per_sec, double prop_ns) {
   LinkConfig cfg;
   cfg.bandwidth = sim::Bandwidth{bytes_per_sec};
@@ -114,7 +122,7 @@ TEST(RoutingTableTest, EcmpStripesAcrossParallelSpines) {
   Network net;
   std::vector<NodeId> hosts;
   for (int i = 0; i < 6; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    hosts.push_back(net.add_node(indexed("h", i)));
   }
   LeafSpineConfig cfg;
   cfg.leaves = 2;
@@ -234,7 +242,7 @@ TEST(LeafSpineTest, BuildsFullBipartiteTier) {
   Network net;
   std::vector<NodeId> hosts;
   for (int i = 0; i < 8; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    hosts.push_back(net.add_node(indexed("h", i)));
   }
   LeafSpineConfig cfg;
   cfg.leaves = 2;
@@ -275,7 +283,7 @@ TEST(LeafSpineTest, CrossLeafLatencyIsFourHops) {
   Network net;
   std::vector<NodeId> hosts;
   for (int i = 0; i < 4; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    hosts.push_back(net.add_node(indexed("h", i)));
   }
   LeafSpineConfig cfg;
   cfg.leaves = 2;
@@ -291,7 +299,7 @@ TEST(LeafSpineTest, CrossLeafLatencyIsFourHops) {
   Network net2;
   std::vector<NodeId> hosts2;
   for (int i = 0; i < 4; ++i) {
-    hosts2.push_back(net2.add_node("h" + std::to_string(i)));
+    hosts2.push_back(net2.add_node(indexed("h", i)));
   }
   LeafSpineFabric::build(net2, cfg, hosts2);
   EXPECT_EQ(net2.deliver_ex(0, hosts2[0], hosts2[2], 100).arrival,
@@ -318,7 +326,7 @@ TEST(LeafSpineTest, FaultDecorationCoversUplinks) {
   Network net;
   std::vector<NodeId> hosts;
   for (int i = 0; i < 4; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    hosts.push_back(net.add_node(indexed("h", i)));
   }
   LeafSpineConfig cfg;
   cfg.leaves = 2;
@@ -344,7 +352,7 @@ TEST(PostRoutedTest, MatchesAnalyticDeliveryOnQuietFabric) {
   // serial analytic traversal says, switch hops included.
   const auto build = [](Network& net, std::vector<NodeId>& hosts) {
     for (int i = 0; i < 4; ++i) {
-      hosts.push_back(net.add_node("h" + std::to_string(i)));
+      hosts.push_back(net.add_node(indexed("h", i)));
     }
     LeafSpineConfig cfg;
     cfg.leaves = 2;
@@ -416,7 +424,7 @@ TEST(PostRoutedTest, ThrowingHopReleasesItsFrame) {
   Network net;
   std::vector<NodeId> hosts;
   for (int i = 0; i < 2; ++i) {
-    hosts.push_back(net.add_node("h" + std::to_string(i)));
+    hosts.push_back(net.add_node(indexed("h", i)));
   }
   LeafSpineConfig cfg;
   cfg.leaves = 1;

@@ -12,6 +12,14 @@
 namespace tfsim::node {
 namespace {
 
+/// The built-in `stem` with `pairs` borrowers and `pairs` lenders.
+scenario::ScenarioSpec with_pairs(const char* stem, std::uint32_t pairs) {
+  scenario::ScenarioSpec spec = *scenario::builtin(stem);
+  spec.set_borrower_count(pairs);
+  spec.set_lender_count(pairs);
+  return spec;
+}
+
 TEST(ClusterTest, TwoNodeSpecMatchesTestbed) {
   Cluster cluster(scenario::paper_two_node());
   ASSERT_EQ(cluster.num_nodes(), 2u);
@@ -32,7 +40,7 @@ TEST(ClusterTest, TwoNodeSpecMatchesTestbed) {
 }
 
 TEST(ClusterTest, FindResolvesExpandedNames) {
-  Cluster cluster(scenario::pooling_1xN(4));
+  Cluster cluster(*scenario::builtin("pooling_1xN"));
   ASSERT_EQ(cluster.num_nodes(), 5u);
   EXPECT_NE(cluster.find("borrower"), nullptr);
   EXPECT_NE(cluster.find("lender0"), nullptr);
@@ -45,7 +53,7 @@ TEST(ClusterTest, ChunkedMostFreeStripesAcrossLenders) {
   // 16 GiB in 4 chunks under most-free with equal lenders: each chunk must
   // land on a different lender (round-robin pooling), and the attached
   // window stays contiguous on the borrower.
-  Cluster cluster(scenario::pooling_1xN(4));
+  Cluster cluster(*scenario::builtin("pooling_1xN"));
   ASSERT_TRUE(cluster.attach_remote());
   EXPECT_EQ(cluster.remote_span(), 16 * sim::kGiB);
   std::set<std::uint64_t> lent;
@@ -60,7 +68,7 @@ TEST(ClusterTest, ChunkedMostFreeStripesAcrossLenders) {
 }
 
 TEST(ClusterTest, DumbbellPairsEveryBorrowerWithALender) {
-  scenario::ScenarioSpec spec = scenario::shared_trunk(4);
+  scenario::ScenarioSpec spec = *scenario::builtin("trunk_contention");
   Cluster cluster(spec);
   ASSERT_EQ(cluster.num_borrowers(), 4u);
   ASSERT_EQ(cluster.num_lenders(), 4u);
@@ -75,7 +83,7 @@ TEST(ClusterTest, DumbbellPairsEveryBorrowerWithALender) {
 }
 
 TEST(ClusterTest, SetPeriodReachesEveryBorrowerNic) {
-  Cluster cluster(scenario::shared_trunk(2));
+  Cluster cluster(with_pairs("trunk_contention", 2));
   cluster.set_period(64);
   EXPECT_EQ(cluster.period(), 64u);
   for (std::size_t i = 0; i < cluster.num_borrowers(); ++i) {
@@ -105,7 +113,7 @@ TEST(ClusterTest, AttachTimesOutAtExtremePeriod) {
 // B=3 not divisible by L=2, borrower i and lender i always land on
 // opposite leaves, so every remote access crosses a spine.
 scenario::ScenarioSpec small_rack() {
-  scenario::ScenarioSpec spec = scenario::leafspine_rack(3);
+  scenario::ScenarioSpec spec = with_pairs("leafspine_rack128", 3);
   spec.topology.leaves = 2;
   spec.topology.spines = 2;
   spec.pdes.threads = 0;  // one shared calendar

@@ -22,7 +22,10 @@ CpuConfig test_cpu() {
 }
 
 TEST(DomainClusterTest, EveryNodeGetsItsOwnDomain) {
-  Cluster cluster(scenario::pooling_1xN(3));
+  scenario::ScenarioSpec spec = *scenario::builtin("pooling_1xN");
+  spec.set_lender_count(3);
+  spec.reservations[0].chunks = 3;
+  Cluster cluster(spec);
   EXPECT_EQ(cluster.domains().num_domains(), 4u);
   // Domain ids follow declaration order, and every owned object is bound.
   for (std::size_t i = 0; i < cluster.num_nodes(); ++i) {

@@ -30,6 +30,14 @@
 namespace tfsim::axi {
 namespace {
 
+/// "<prefix><i>", appended piecewise: gcc 12 at -O3 flags
+/// `"h" + std::to_string(i)` with a false -Wrestrict.
+std::string indexed(const char* prefix, std::size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 struct RoutePlan {
   bool has_fifo = false;
   std::size_t fifo_depth = 1;
@@ -128,7 +136,7 @@ Bench build(const Plan& p, SettleMode mode) {
 
   std::vector<Wire*> route_in;
   for (std::size_t i = 0; i < p.routes.size(); ++i) {
-    route_in.push_back(&tb.wire("r" + std::to_string(i)));
+    route_in.push_back(&tb.wire(indexed("r", i)));
     traced.push_back(route_in.back());
   }
   tb.add<Router>("router", src_w, route_in);
@@ -138,15 +146,15 @@ Bench build(const Plan& p, SettleMode mode) {
   for (std::size_t i = 0; i < p.routes.size(); ++i) {
     Wire* cur = route_in[i];
     if (p.routes[i].has_fifo) {
-      Wire& f = tb.wire("f" + std::to_string(i));
-      tb.add<Fifo>("fifo" + std::to_string(i), *cur, f,
+      Wire& f = tb.wire(indexed("f", i));
+      tb.add<Fifo>(indexed("fifo", i), *cur, f,
                    p.routes[i].fifo_depth);
       allowed_in_flight += p.routes[i].fifo_depth;
       traced.push_back(&f);
       cur = &f;
     }
-    Wire& g = tb.wire("g" + std::to_string(i));
-    b.gates.push_back(&tb.add<RateGate>("gate" + std::to_string(i), *cur, g,
+    Wire& g = tb.wire(indexed("g", i));
+    b.gates.push_back(&tb.add<RateGate>(indexed("gate", i), *cur, g,
                                         p.routes[i].period));
     traced.push_back(&g);
     mux_in.push_back(&g);

@@ -513,7 +513,7 @@ Run rng_stats(std::uint64_t seed) {
 Run axi_pipeline(std::uint64_t seed) {
   std::uint64_t skipped = 0;
   return serialized(
-      axi_run(axi::default_settle_mode(), seed, 0.7, 0.8, 3, skipped));
+      axi_run(axi::SettleMode::kActivity, seed, 0.7, 0.8, 3, skipped));
 }
 
 Run settle_modes(std::uint64_t seed) {
@@ -739,20 +739,11 @@ Row row_of(const ServingRun& run) {
   return {run.report.digest, run.events, run.windows};
 }
 
-namespace {
-
-scenario::ScenarioSpec scenario_file(const std::string& file) {
-  return scenario::load_file(std::string(TFSIM_SCENARIO_SOURCE_DIR) + "/" +
-                             file);
-}
-
-}  // namespace
-
 std::vector<std::pair<std::string, Producer>> reference_runs() {
   std::vector<std::pair<std::string, Producer>> runs;
   // CI serving smoke: serving_slo at TFSIM_SERVING_US=2000.
   runs.emplace_back("serving_slo/serving_diurnal.json/us=2000", [] {
-    auto spec = scenario_file("serving_diurnal.json");
+    auto spec = *scenario::builtin("serving_diurnal");
     bench::compress_serving(spec, 2000.0);
     return row_of(serve(spec));
   });
@@ -761,7 +752,7 @@ std::vector<std::pair<std::string, Producer>> reference_runs() {
     runs.emplace_back(std::string("chaos_mttr/chaos_rack.json/detector=") +
                           (detector ? "on" : "off"),
                       [detector] {
-                        auto spec = scenario_file("chaos_rack.json");
+                        auto spec = *scenario::builtin("chaos_rack");
                         spec.detector.enabled = detector;
                         return row_of(serve(spec));
                       });
@@ -774,7 +765,7 @@ std::vector<std::pair<std::string, Producer>> reference_runs() {
           "fabric_contention/" + scenario::to_string(kind) +
               "/B=" + std::to_string(b) + "/us=50",
           [b, kind] {
-            const auto spec = scenario_file("leafspine_rack128.json");
+            const auto spec = *scenario::builtin("leafspine_rack128");
             const bench::PointResult r =
                 bench::run_point(spec.topology, kind, b, sim::from_us(50.0));
             return Row{r.digest, r.events, r.windows};

@@ -6,11 +6,9 @@
 //
 // CI runs this over each checked-in scenarios/*.json so a file that rots
 // (schema drift, typo'd key, unbuildable topology) fails the build, not
-// the first user who tries it.  `--dump <name>` prints a built-in spec as
-// resolved JSON -- the checked-in files are generated this way, so file
-// and builder can never disagree.
+// the first user who tries it.  With no argument it runs the six built-ins
+// listed in main().
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
@@ -108,16 +106,6 @@ bool smoke(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--dump") == 0) {
-    const auto spec = scenario::builtin(argv[2]);
-    if (!spec.has_value()) {
-      std::fprintf(stderr, "unknown built-in scenario: %s\n", argv[2]);
-      return 2;
-    }
-    std::fputs(scenario::resolved_json(*spec).c_str(), stdout);
-    return 0;
-  }
-
   std::vector<std::string> names;
   for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
   if (names.empty()) {
