@@ -865,24 +865,22 @@ std::vector<FieldInfo> schema() {
 
 namespace {
 
-/// The checked-in file of the built-in `stem`.  The build bakes the source
-/// tree's scenarios/ directory in; a build that compiles this file without
-/// it (perfbench's) finds the directory next to src/.
+/// The checked-in file of the built-in `stem`: scenarios/ in the source tree
+/// this file is compiled from (CMake passes sources by absolute path).
 std::string builtin_path(const std::string& stem) {
-#ifdef TFSIM_BUILTIN_SCENARIO_DIR
-  const std::filesystem::path dir = TFSIM_BUILTIN_SCENARIO_DIR;
-#else
-  const std::filesystem::path src =
-      std::filesystem::path(__FILE__).parent_path().parent_path();
-  const std::filesystem::path dir = src.parent_path() / "scenarios";
-#endif
+  namespace fs = std::filesystem;
+  static const fs::path dir =
+      (fs::path(__FILE__).parent_path() / "../../scenarios").lexically_normal();
   return (dir / (stem + ".json")).string();
 }
 
 }  // namespace
 
 ScenarioSpec paper_two_node() {
-  return load_file(builtin_path("paper_twonode"));
+  // Parsed once: it is the default scenario of every SessionConfig and of
+  // the resilience configs.
+  static const ScenarioSpec spec = load_file(builtin_path("paper_twonode"));
+  return spec;
 }
 
 std::optional<ScenarioSpec> builtin(const std::string& stem) {

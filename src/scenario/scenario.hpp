@@ -340,7 +340,8 @@ std::vector<FieldInfo> schema();
 // --- built-in scenarios ----------------------------------------------------
 //
 // The built-ins are the checked-in files under scenarios/: each file is the
-// only declaration of its scenario.
+// only declaration of its scenario.  They are read from the source tree the
+// library was compiled from, so a binary needs that checkout in place.
 
 /// The paper's two-node ThymesisFlow prototype (scenarios/paper_twonode.json):
 /// AC922 nodes (512 GiB DRAM), a borrower-only NIC (129-entry window, PERIOD

@@ -437,6 +437,12 @@ TEST(ScenarioJsonTest, CheckedInFilesRoundTripExactly) {
     text << in.rdbuf();
     const std::string dumped = resolved_json(parse(text.str()));
     EXPECT_EQ(resolved_json(parse(dumped)), dumped) << entry.path();
+    // A file in resolved form writes out every field, so none falls back to
+    // a C++ default.  Two hand-written files predate that form.
+    const std::string stem = entry.path().stem().string();
+    if (stem != "faulty_fabric" && stem != "pdes_rack64") {
+      EXPECT_EQ(text.str(), dumped) << entry.path();
+    }
     ++files;
   }
   EXPECT_GE(files, 8u);

@@ -6,8 +6,7 @@
 //
 // CI runs this over each checked-in scenarios/*.json so a file that rots
 // (schema drift, typo'd key, unbuildable topology) fails the build, not
-// the first user who tries it.  With no argument it runs the six built-ins
-// listed in main().
+// the first user who tries it.  Usage: scenario_smoke <name-or-file>...
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -106,13 +105,11 @@ bool smoke(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
-  if (names.empty()) {
-    names = {"paper_twonode", "pooling_1xN", "trunk_contention",
-             "leafspine_rack128", "serving_diurnal", "chaos_rack"};
+  if (argc < 2) {
+    std::fprintf(stderr, "usage: scenario_smoke <name-or-file>...\n");
+    return 2;
   }
   bool ok = true;
-  for (const auto& n : names) ok = smoke(n) && ok;
+  for (int i = 1; i < argc; ++i) ok = smoke(argv[i]) && ok;
   return ok ? 0 : 1;
 }
