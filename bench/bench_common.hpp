@@ -5,7 +5,6 @@
 // paper's exact workload sizes):
 //   TFSIM_STREAM_ELEMENTS   STREAM array elements        (default 10000000)
 //   TFSIM_GRAPH_SCALE       Graph500 scale               (default 19; paper 20)
-//   TFSIM_GRAPH_EDGEFACTOR  Graph500 edgefactor          (default 16)
 //   TFSIM_KV_KEYS           KV-store key space           (default 200000)
 //   TFSIM_KV_REQUESTS       Memtier requests per client  (default 200; paper 10000)
 //   TFSIM_CSV_DIR           where to mirror result CSVs  (default ".")
@@ -63,8 +62,6 @@ inline workloads::g500::Graph500Config graph_config() {
   workloads::g500::Graph500Config cfg;
   cfg.gen.scale = static_cast<std::uint32_t>(
       env_u64("TFSIM_GRAPH_SCALE", full_size() ? 20 : 19));
-  cfg.gen.edgefactor =
-      static_cast<std::uint32_t>(env_u64("TFSIM_GRAPH_EDGEFACTOR", 16));
   return cfg;
 }
 
@@ -90,18 +87,10 @@ inline std::string csv_path(const std::string& file) {
 // --- scenario plumbing -----------------------------------------------------
 //
 // Benches take --scenario=<name-or-path>.  A path (contains '/' or ends in
-// .json) loads directly; a bare name resolves through, in order:
-//   $TFSIM_SCENARIO (explicit file override),
-//   $TFSIM_SCENARIO_DIR/<name>.json,
-//   ./scenarios/<name>.json,
-//   the built-in of the same name (scenario::builtin: the source tree's
-//   scenarios/<name>.json).
+// .json) loads that file; a bare name is the built-in of that name
+// (scenario::builtin: the source tree's scenarios/<name>.json).
 
-inline bool file_exists(const std::string& path) {
-  return std::ifstream(path).good();
-}
-
-/// Resolve and load a scenario; exits with a clear error when the name is
+/// Resolve and load a scenario; exits 2 with a clear error when the name is
 /// unknown or the file fails to parse (a broken scenario must never run
 /// the experiment with silently-default settings).
 inline scenario::ScenarioSpec load_scenario(const std::string& name_or_path) {
@@ -110,18 +99,6 @@ inline scenario::ScenarioSpec load_scenario(const std::string& name_or_path) {
         (name_or_path.size() > 5 &&
          name_or_path.rfind(".json") == name_or_path.size() - 5)) {
       return scenario::load_file(name_or_path);
-    }
-    if (const char* v = std::getenv("TFSIM_SCENARIO")) {
-      if (*v != '\0') return scenario::load_file(v);
-    }
-    const std::string file = name_or_path + ".json";
-    if (const char* v = std::getenv("TFSIM_SCENARIO_DIR")) {
-      if (*v != '\0' && file_exists(std::string(v) + "/" + file)) {
-        return scenario::load_file(std::string(v) + "/" + file);
-      }
-    }
-    if (file_exists("scenarios/" + file)) {
-      return scenario::load_file("scenarios/" + file);
     }
     if (auto spec = scenario::builtin(name_or_path)) return *spec;
     std::fprintf(stderr, "error: unknown scenario \"%s\"\n",

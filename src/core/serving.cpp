@@ -201,22 +201,13 @@ ServingReport run_serving(node::Cluster& cluster) {
         cluster.lender(i).name() == spec.faults.kill_lender) {
       L->dead_at = sim::from_us(spec.faults.kill_at_us);
     }
+    // resolve_chaos emits windows in start order, so each list is sorted.
     for (const auto& w : chaos_windows) {
-      if (w.kind != scenario::ChaosKind::kGrayLender ||
-          w.target != cluster.lender(i).name()) {
-        continue;
+      if (w.kind == scenario::ChaosKind::kGrayLender &&
+          w.target == cluster.lender(i).name()) {
+        L->gray.push_back(w.flap());  // factor: service inflation, > 1
       }
-      net::FlapSpec g;
-      g.start = w.start;
-      g.duration = w.end == sim::kTimeNever ? sim::kTimeNever - w.start
-                                            : w.end - w.start;
-      g.bandwidth_factor = w.factor;  // here: service inflation, > 1
-      L->gray.push_back(g);
     }
-    std::sort(L->gray.begin(), L->gray.end(),
-              [](const net::FlapSpec& a, const net::FlapSpec& b) {
-                return a.start < b.start;
-              });
     L->gray_seed = net::mix64(spec.chaos.seed ^ net::mix64(i));
     if (traffic.lender_capacity_rps > 0.0) {
       ctrl::QosConfig qcfg;
@@ -270,7 +261,6 @@ ServingReport run_serving(node::Cluster& cluster) {
     ocfg.arrivals.burst_off_us = traffic.burst_off_us;
     ocfg.arrivals.diurnal_period_us = traffic.diurnal_period_us;
     ocfg.arrivals.diurnal_amplitude = traffic.diurnal_amplitude;
-    ocfg.clients = traffic.clients / std::max<std::size_t>(1, states.size());
     ocfg.max_in_flight = traffic.max_in_flight;
     ocfg.queue_depth = traffic.queue_depth;
     ocfg.stop_at = sim::from_us(traffic.duration_us);

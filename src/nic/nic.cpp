@@ -253,7 +253,6 @@ std::optional<AccessTrace> DisaggNic::remote_access(sim::Time now,
   window_.record_completion(t.completion, prio);
   tags_.release(*tag);
   credits_.restore();
-  ++seq_;
   ++(write ? writes_ : reads_);
   latency_us_.add(sim::to_us(t.completion - t.issued));
   return t;

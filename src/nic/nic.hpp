@@ -167,7 +167,6 @@ class DisaggNic {
   std::map<std::uint32_t, Lender> lenders_;
   std::uint32_t detached_lenders_ = 0;
 
-  std::uint32_t seq_ = 0;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   std::uint64_t failures_ = 0;

@@ -48,22 +48,9 @@ Cluster::Cluster(const scenario::ScenarioSpec& spec) : spec_(spec) {
   apply_faults();
   apply_chaos();
   remote_.resize(borrowers_.size());
-  if (pdes_ != nullptr) {
-    // Lookahead derives from the assembled fabric: no frame reaches another
-    // domain before now + min link propagation.  An explicit scenario value
-    // may only shrink the window below that sound bound.
-    const sim::Time min_prop = network_.min_propagation();
-    sim::Time lookahead = spec_.pdes.lookahead_ns > 0.0
-                              ? sim::from_ns(spec_.pdes.lookahead_ns)
-                              : min_prop;
-    if (lookahead > min_prop) {
-      TFSIM_LOG(Warn) << "cluster: pdes lookahead " << sim::to_ns(lookahead)
-                      << " ns exceeds the fabric's min propagation "
-                      << sim::to_ns(min_prop) << " ns; clamping";
-      lookahead = min_prop;
-    }
-    pdes_->set_lookahead(lookahead);
-  }
+  // Lookahead derives from the assembled fabric: no frame reaches another
+  // domain before now + min link propagation.
+  if (pdes_ != nullptr) pdes_->set_lookahead(network_.min_propagation());
 }
 
 void Cluster::resolve_pdes() {
@@ -249,11 +236,7 @@ void Cluster::apply_chaos() {
   std::map<std::pair<net::NodeId, net::NodeId>, std::vector<net::FlapSpec>>
       ports;
   for (const auto& w : windows) {
-    net::FlapSpec flap;
-    flap.start = w.start;
-    flap.duration = w.end == sim::kTimeNever ? sim::kTimeNever - w.start
-                                             : w.end - w.start;
-    flap.bandwidth_factor = w.factor;
+    const net::FlapSpec flap = w.flap();
     switch (w.kind) {
       case scenario::ChaosKind::kKillSwitch:
         down[find_switch(w.target, "chaos kill_switch")].push_back(flap);

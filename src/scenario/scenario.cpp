@@ -339,7 +339,6 @@ const Table<nic::NicConfig>& nic_table() {
       integer<C>("latency_reserved_entries", &C::latency_reserved_entries),
       // The clock period must land on the picosecond grid.
       number<C>("fpga_clock_mhz", &C::fpga_clock_hz, {1e-3, 1e6}, 1e6),
-      integer<C>("period", &C::period, 1, kMaxPeriod),
       sim_time<C>("processing_ns", &C::processing_latency, kNs),
       sim_time<C>("retry_timeout_us",
                   [](auto& c) -> auto& { return c.replay.retry_timeout; }, kUs,
@@ -429,15 +428,6 @@ const Table<ReservationSpec>& reservation_table() {
       integer<C>("size_gib", &C::size_gib, 1, kMaxGiB),
       integer<C>("chunks", &C::chunks, 1),
       text<C>("name", &C::name),
-  };
-  return table;
-}
-
-const Table<WorkloadSpec>& workload_table() {
-  using C = WorkloadSpec;
-  static const Table<C> table = {
-      text<C>("kind", &C::kind),
-      text<C>("placement", &C::placement),
   };
   return table;
 }
@@ -543,7 +533,6 @@ const Table<TrafficSpec>& traffic_table() {
   static const Table<C> table = {
       text<C>("process", &C::process, {"", "poisson", "bursty", "diurnal"}),
       number<C>("rate_rps", &C::rate_rps, {0, kMaxRate}),
-      integer<C>("clients", &C::clients),
       integer<C>("seed", &C::seed),
       integer<C>("max_in_flight", &C::max_in_flight),
       integer<C>("queue_depth", &C::queue_depth),
@@ -579,7 +568,6 @@ const Table<PdesSpec>& pdes_table() {
   using C = PdesSpec;
   static const Table<C> table = {
       integer<C>("threads", &C::threads, 0, 1),
-      sim_time<C>("lookahead_ns", &C::lookahead_ns, kNs),
   };
   return table;
 }
@@ -605,7 +593,6 @@ const Table<ScenarioSpec>& scenario_table() {
       block<C>("topology", &C::topology, topology_table()),
       block<C>("injector", &C::injector, injector_table()),
       list<C>("reservations", &C::reservations, reservation_table()),
-      list<C>("workloads", &C::workloads, workload_table()),
       block<C>("faults", &C::faults, faults_table()),
       block<C>("chaos", &C::chaos, chaos_table()),
       block<C>("detector", &C::detector, detector_table()),
@@ -666,9 +653,6 @@ void validate(ScenarioSpec& spec) {
   }
   need(spec.sweep.periods.empty() || !spec.injector.dist_kind.has_value(),
        "sweep.periods", kPeriodsNeedGate);
-  const double lookahead_ns = spec.pdes.lookahead_ns;
-  need(lookahead_ns == 0.0 || sim::from_ns(lookahead_ns) > 0,
-       "pdes.lookahead_ns", "must be 0 (derived) or at least 0.001");
 }
 
 }  // namespace
@@ -797,13 +781,6 @@ std::vector<ChaosWindow> resolve_chaos(const ChaosSpec& chaos) {
     windows.push_back(std::move(w));
   }
   return windows;
-}
-
-const NodeDecl* ScenarioSpec::find_node(const std::string& node_name) const {
-  for (const auto& n : nodes) {
-    if (n.name == node_name) return &n;
-  }
-  return nullptr;
 }
 
 std::uint32_t ScenarioSpec::expanded_node_count() const {

@@ -5,11 +5,11 @@
 // them (direct full-mesh links or a two-switch dumbbell with a shared
 // trunk), the delay injector, the remote-memory reservations (with the
 // control-plane placement policy, and optional striping across lenders),
-// workload bindings, and sweep axes.  Specs are data: a small JSON file
-// under scenarios/ (the built-ins below are exactly those files) -- the
-// same config-driven approach rack-scale simulators such as DRackSim and
-// CXL-ClusterSim use to cover many cluster shapes without baked-in
-// topologies.  node::Cluster turns a spec into a live testbed.
+// and sweep axes.  Specs are data: a small JSON file under scenarios/ (the
+// built-ins below are exactly those files) -- the same config-driven
+// approach rack-scale simulators such as DRackSim and CXL-ClusterSim use to
+// cover many cluster shapes without baked-in topologies.  node::Cluster
+// turns a spec into a live testbed.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,9 @@ struct NodeDecl {
   mem::DramConfig dram;  ///< AC922 defaults: 512 GiB, 140 GB/s, 95 ns
   /// Borrower-capable (has the FPGA card).  Defaults from the role.
   std::optional<bool> with_nic;
-  nic::NicConfig nic;  ///< window 129, 320 MHz, PERIOD 1
+  /// Window 129, 320 MHz.  The PERIOD is not declared here: the injector
+  /// sets it on every borrower NIC (InjectorSpec::period).
+  nic::NicConfig nic;
 
   bool nic_enabled() const {
     return with_nic.value_or(role == Role::kBorrower);
@@ -164,13 +166,18 @@ struct ChaosWindow {
   sim::Time start = 0;
   sim::Time end = 0;
   double factor = 0.0;
+
+  /// The window as a switch or lender schedule entry; `factor` carries over
+  /// as the brownout bandwidth factor or the gray-lender inflation.
+  net::FlapSpec flap() const { return {start, end - start, factor}; }
 };
 
-/// Validate the timeline and resolve it into per-target windows (stable
-/// event order).  Throws std::invalid_argument naming the offending field
-/// ("chaos.events[2].factor: ...").  node::Cluster applies the switch
-/// windows at assembly; core/run_serving applies the gray-lender windows;
-/// bench/chaos_mttr scores recovery per window.
+/// Validate the timeline and resolve it into windows in event order, which
+/// is start order; one target's windows never overlap.  Throws
+/// std::invalid_argument naming the offending field ("chaos.events[2].factor:
+/// ...").  node::Cluster applies the switch windows at assembly;
+/// core/run_serving applies the gray-lender windows; bench/chaos_mttr scores
+/// recovery per window.
 std::vector<ChaosWindow> resolve_chaos(const ChaosSpec& chaos);
 
 /// Online gray-failure detector settings for the serving loop: the
@@ -194,13 +201,6 @@ struct DetectorSpec {
   friend bool operator==(const DetectorSpec&, const DetectorSpec&) = default;
 };
 
-/// A workload binding: which driver a scenario-driven bench should run on
-/// each borrower and where its arrays live.
-struct WorkloadSpec {
-  std::string kind = "stream";       ///< stream | bfs | sssp | redis | flow
-  std::string placement = "remote";  ///< local | remote | auto
-};
-
 /// One tenant in the serving traffic mix: a named slice of the aggregate
 /// offered rate with a QoS weight (ctrl/qos.hpp credits at the lender).
 struct TrafficTenantSpec {
@@ -216,7 +216,6 @@ struct TrafficTenantSpec {
 struct TrafficSpec {
   std::string process;           ///< "" | "poisson" | "bursty" | "diurnal"
   double rate_rps = 0.0;         ///< aggregate offered rate, requests/sec
-  std::uint64_t clients = 0;     ///< modeled client population (reporting)
   std::uint64_t seed = 1;        ///< per-source streams are split off this
   std::uint32_t max_in_flight = 64;   ///< dispatch window per source
   std::uint32_t queue_depth = 128;    ///< waiting room per source
@@ -254,13 +253,10 @@ struct SloSpec {
 /// under its historical name: 0 runs the classic single shared calendar, 1
 /// gives every node (and fabric switch) its own calendar, advanced serially
 /// in lookahead windows -- the partition serving and post_routed need.
-/// Values above 1 are rejected at parse time.  Lookahead 0 derives the
-/// horizon from the fabric's minimum link propagation -- the only
-/// always-sound choice; set it explicitly only to *shrink* the window below
-/// that bound.
+/// Values above 1 are rejected at parse time.  The lookahead is always the
+/// fabric's minimum link propagation, the widest sound window.
 struct PdesSpec {
   std::uint32_t threads = 0;   ///< 0 = one shared calendar, 1 = per node
-  double lookahead_ns = 0.0;   ///< 0 = net::Network::min_propagation()
 
   bool enabled() const { return threads > 0; }
 };
@@ -282,7 +278,6 @@ struct ScenarioSpec {
   /// Control-plane lender-selection policy (ctrl::make_policy name).
   std::string policy = "first-fit";
   std::vector<ReservationSpec> reservations;
-  std::vector<WorkloadSpec> workloads;
   FaultSpec faults;
   ChaosSpec chaos;
   DetectorSpec detector;
@@ -291,7 +286,6 @@ struct ScenarioSpec {
   PdesSpec pdes;
   SweepSpec sweep;
 
-  const NodeDecl* find_node(const std::string& name) const;
   /// Total declared nodes after count-expansion.
   std::uint32_t expanded_node_count() const;
   /// Set the count of every lender-role (resp. borrower-role) declaration;

@@ -37,7 +37,6 @@ enum class RequestOutcome {
 
 struct OpenLoopConfig {
   ArrivalConfig arrivals;
-  std::uint64_t clients = 0;         ///< modeled population (reporting only)
   std::uint32_t max_in_flight = 64;  ///< dispatch window
   std::uint32_t queue_depth = 128;   ///< waiting room; overflow is shed
   sim::Time stop_at = 0;             ///< no arrivals at or after this time

@@ -200,7 +200,7 @@ TEST(ScenarioJsonTest, UnitsBearingKeysParse) {
     "nodes": [
       {"name": "b", "role": "borrower",
        "dram": {"capacity_gib": 2, "bandwidth_gbyte": 70, "latency_ns": 50},
-       "nic": {"window_entries": 64, "period": 8}},
+       "nic": {"window_entries": 64, "latency_reserved_entries": 8}},
       {"name": "l", "role": "lender", "count": 3}
     ],
     "topology": {"kind": "dumbbell",
@@ -216,7 +216,7 @@ TEST(ScenarioJsonTest, UnitsBearingKeysParse) {
   EXPECT_DOUBLE_EQ(spec.nodes[0].dram.bus_bandwidth.gbyte_per_sec(), 70.0);
   EXPECT_EQ(spec.nodes[0].dram.access_latency, sim::from_ns(50.0));
   EXPECT_EQ(spec.nodes[0].nic.window_entries, 64u);
-  EXPECT_EQ(spec.nodes[0].nic.period, 8u);
+  EXPECT_EQ(spec.nodes[0].nic.latency_reserved_entries, 8u);
   EXPECT_EQ(spec.nodes[1].count, 3u);
   EXPECT_FALSE(spec.nodes[1].nic_enabled()) << "lender default: no NIC";
   EXPECT_EQ(spec.topology.kind, TopologyKind::kDumbbell);
@@ -305,29 +305,23 @@ TEST(ScenarioJsonTest, PdesBlockParsesAndRoundTrips) {
   const ScenarioSpec spec = parse(R"({
     "name": "pdes_mini",
     "nodes": [{"name": "b", "role": "borrower"}, {"name": "l", "count": 3}],
-    "pdes": {"threads": 1, "lookahead_ns": 250}
+    "pdes": {"threads": 1}
   })");
   EXPECT_TRUE(spec.pdes.enabled());
   EXPECT_EQ(spec.pdes.threads, 1u);
-  EXPECT_DOUBLE_EQ(spec.pdes.lookahead_ns, 250.0);
   const std::string dumped = resolved_json(spec);
   EXPECT_EQ(resolved_json(parse(dumped)), dumped);
 
-  // Default: PDES off, lookahead derived from the fabric.
+  // Default: PDES off.
   const ScenarioSpec off = parse(R"({"nodes": [{"name": "b"}]})");
   EXPECT_FALSE(off.pdes.enabled());
   EXPECT_EQ(off.pdes.threads, 0u);
-  EXPECT_DOUBLE_EQ(off.pdes.lookahead_ns, 0.0);
 }
 
 TEST(ScenarioJsonTest, PdesBlockRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(parse(R"({"nodes": [{"name": "b"}],
                           "pdes": {"workers": 4}})"),
                JsonError);
-  EXPECT_THROW(parse(R"({"nodes": [{"name": "b"}],
-                          "pdes": {"threads": 1, "lookahead_ns": -1}})"),
-               JsonError)
-      << "negative lookahead must be rejected at parse time";
 }
 
 TEST(ScenarioJsonTest, UnknownKeysRejected) {
@@ -340,6 +334,18 @@ TEST(ScenarioJsonTest, UnknownKeysRejected) {
                   "topology.link.bandwidth_mbit: unknown key");
   expect_rejected(R"({"nodes": [{"name": "a"}, {"name": "b", "typo": 1}]})",
                   "nodes[1].typo: unknown key");
+  // Keys that once parsed but changed nothing: the injector alone sets the
+  // PERIOD, and the lookahead is always the fabric's minimum propagation.
+  expect_rejected(R"({"nodes": [{"name": "b", "nic": {"period": 1000}}]})",
+                  "nodes[0].nic.period: unknown key");
+  expect_rejected(R"({"nodes": [{"name": "b"}],
+                      "workloads": [{"kind": "stream"}]})",
+                  "workloads: unknown key");
+  expect_rejected(R"({"nodes": [{"name": "b"}], "traffic": {"clients": 12}})",
+                  "traffic.clients: unknown key");
+  expect_rejected(R"({"nodes": [{"name": "b"}],
+                      "pdes": {"threads": 1, "lookahead_ns": 250}})",
+                  "pdes.lookahead_ns: unknown key");
 }
 
 TEST(ScenarioJsonTest, InvalidValuesRejected) {
@@ -359,8 +365,8 @@ TEST(ScenarioJsonTest, InvalidValuesRejected) {
                         {"name": "b", "nic": {"window_entries": -1}}]})",
                   "nodes[1].nic.window_entries: must be an integer in "
                   "[1, 4294967295], got -1");
-  expect_rejected(R"({"nodes": [{"name": "b", "nic": {"period": 0.5}}]})",
-                  "nodes[0].nic.period: must be an integer");
+  expect_rejected(R"({"nodes": [{"name": "b", "nic": {"max_retries": 0.5}}]})",
+                  "nodes[0].nic.max_retries: must be an integer");
   expect_rejected(R"({"nodes": [{"name": "b", "dram": {"capacity_gib": 0}}]})",
                   "nodes[0].dram.capacity_gib: must be a number in");
   expect_rejected(R"({"nodes": [{"name": "b"}],
@@ -438,11 +444,8 @@ TEST(ScenarioJsonTest, CheckedInFilesRoundTripExactly) {
     const std::string dumped = resolved_json(parse(text.str()));
     EXPECT_EQ(resolved_json(parse(dumped)), dumped) << entry.path();
     // A file in resolved form writes out every field, so none falls back to
-    // a C++ default.  Two hand-written files predate that form.
-    const std::string stem = entry.path().stem().string();
-    if (stem != "faulty_fabric" && stem != "pdes_rack64") {
-      EXPECT_EQ(text.str(), dumped) << entry.path();
-    }
+    // a C++ default.
+    EXPECT_EQ(text.str(), dumped) << entry.path();
     ++files;
   }
   EXPECT_GE(files, 8u);
@@ -450,7 +453,7 @@ TEST(ScenarioJsonTest, CheckedInFilesRoundTripExactly) {
 
 // --- schema: one field table per block -----------------------------------
 
-/// The leaf at `path` ("nodes[0].nic.period"), or nullptr.
+/// The leaf at `path` ("nodes[0].nic.window_entries"), or nullptr.
 const Json* leaf_at(const Json& doc, const std::string& path) {
   const Json* v = &doc;
   std::size_t pos = 0;
@@ -514,7 +517,6 @@ TEST(ScenarioSchemaTest, EveryFieldRoundTripsAtANonDefaultValue) {
     "nodes": [{"name": "b", "role": "borrower"},
               {"name": "l", "role": "lender"}],
     "reservations": [{"borrower": "b"}],
-    "workloads": [{"kind": "flow"}],
     "faults": {"flaps": [{"at_us": 10, "for_us": 5, "factor": 0.5}],
                "kill_lender": {"node": "l", "at_us": 100}},
     "chaos": {"events": [{"at_us": 1, "kind": "brownout_port",
@@ -526,7 +528,7 @@ TEST(ScenarioSchemaTest, EveryFieldRoundTripsAtANonDefaultValue) {
               "instances": [1]}
   })"));
   const std::vector<FieldInfo> fields = schema();
-  ASSERT_GT(fields.size(), 90u);
+  EXPECT_EQ(fields.size(), 89u);
   for (const FieldInfo& f : fields) {
     std::string path = f.path;
     for (std::size_t at; (at = path.find("[]")) != std::string::npos;) {
